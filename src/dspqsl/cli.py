@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,12 +129,11 @@ def parse_config(path: str | Path) -> RunConfig:
     cfg.permutation = raw.get("permutation", "A")
     cfg.t_end = _number(raw, "t_end", 5000.0)
     _expect(cfg.t_end > 0, "t_end must be positive")
-    step = raw.get("step")
-    if step is not None:
-        cfg.step = float(step)
+    if raw.get("step") is not None:
+        cfg.step = _number(raw, "step", None)
         _expect(cfg.step > 0, "step must be positive")
     stride = raw.get("stride", 20)
-    _expect(isinstance(stride, int) and stride >= 1, "stride must be an integer >= 1")
+    _expect(type(stride) is int and stride >= 1, "stride must be an integer >= 1")
     cfg.stride = stride
     cfg.g = _number(raw, "g", optimizer.DEFAULT_HEAT_WEIGHT)
     _expect(0.0 <= cfg.g < 1.0, "g must lie in [0, 1)")
@@ -143,12 +143,14 @@ def parse_config(path: str | Path) -> RunConfig:
     return cfg
 
 
-def _number(raw: dict, key: str, default: float) -> float:
+def _number(raw: dict, key: str, default: float | None) -> float:
     value = raw.get(key, default)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"key {key!r} must be a number, got {value!r}") from exc
+    _expect(math.isfinite(number), f"key {key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _matrix_from_pairs(obj, dim: int, what: str) -> np.ndarray:
@@ -223,8 +225,15 @@ def _load_custom_model(raw: dict | None) -> ModelSpec:
         isinstance(rates_raw, list) and len(rates_raw) == len(jumps),
         "custom.rates must list one rate per jump operator",
     )
-    rates = [float(g) for g in rates_raw]
-    gamma_ref = raw.get("gamma_ref")
+    try:
+        rates = [float(g) for g in rates_raw]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"custom.rates entries must be numbers: {exc}") from exc
+    _expect(
+        all(math.isfinite(g) and g >= 0.0 for g in rates),
+        f"custom.rates must be finite and nonnegative, got {rates_raw!r}",
+    )
+    gamma_ref = None if raw.get("gamma_ref") is None else _number(raw, "gamma_ref", None)
     try:
         target = qmat.as_ket(target)
         eig = qmat.hermitian_eigensystem(h, target=target)
@@ -237,7 +246,7 @@ def _load_custom_model(raw: dict | None) -> ModelSpec:
             target=target,
             eigensystem=eig,
             target_index=target_index,
-            gamma_ref=None if gamma_ref is None else float(gamma_ref),
+            gamma_ref=gamma_ref,
         )
     except (ValueError, qmat.ConvergenceError) as exc:
         if isinstance(exc, ModelError):
@@ -349,10 +358,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     requested = resolve_permutations(cfg, lam, model)
     out = _out_path(cfg, "trajectory.csv")
     gamma_ref = model.gamma_ref if model.gamma_ref is not None else float("nan")
+    step = cfg.step if cfg.step is not None else lindblad.default_step(model)
+    try:
+        lindblad.check_grid(cfg.t_end, step, cfg.stride)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for label, perm in requested:
         arranged = optimizer.apply_permutation(lam, perm)
         rho0 = dsp_core.state_from_populations(model.eigensystem, arranged)
-        traj = lindblad.evolve(model, rho0, cfg.t_end, step=cfg.step, stride=cfg.stride)
+        traj = lindblad.evolve(model, rho0, cfg.t_end, step=step, stride=cfg.stride)
         path = out if len(requested) == 1 else out.with_name(f"{out.stem}_{label}{out.suffix}")
         rows = zip(
             traj.times,
@@ -494,12 +508,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             cfg.out = args.out
         if args.step is not None:
-            if args.step <= 0:
-                raise ConfigError("step must be positive")
+            _expect(math.isfinite(args.step) and args.step > 0, "step must be positive and finite")
             cfg.step = args.step
         if args.t_end is not None:
-            if args.t_end <= 0:
-                raise ConfigError("t_end must be positive")
+            _expect(math.isfinite(args.t_end) and args.t_end > 0, "t_end must be positive and finite")
             cfg.t_end = args.t_end
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:

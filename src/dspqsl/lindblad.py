@@ -1,10 +1,11 @@
-"""Lindblad generator and a fixed-step RK4 trajectory integrator.
+"""Lindblad generator and a record-stepped RK4 trajectory integrator.
 
 States evolve under rho' = -i[H, rho] + sum_mu gamma_mu D[L_mu] rho with
 D[L] rho = L rho L^dag - {L^dag L, rho}/2. The generator is linear and
-time independent, so the integrator works on vectorized states through
-the generator's matrix; `lindblad_rhs` is the direct, readable form of
-the same map and the two are tested against each other.
+time independent, so an RK4 step is a fixed matrix P on vectorized states
+and each record is one product with P^stride. `evolve` (one state) and
+`evolve_batch` (a stack) share that stepper. `lindblad_rhs` is the direct,
+readable form of the generator and the two are tested against each other.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ __all__ = [
     "BatchEvolution",
     "IntegrationError",
     "ModelError",
+    "MAX_RECORDS",
     "ModelSpec",
     "Trajectory",
+    "check_grid",
     "coherence_decoupling_diagnostic",
     "default_step",
     "evolve",
@@ -41,17 +44,27 @@ FIDELITY_SLACK = 1e-9
 
 DEFAULT_STRIDE = 20
 
+# Records cost one propagator product each and are all kept, so this cap
+# bounds time and memory; it admits the demo at stride 20 and at stride 1.
+MAX_RECORDS = 200_000
+
+# States propagated and diagnosed together in one record block.
+_BLOCK_STATES = 1024
+
 
 class ModelError(ValueError):
     """Model construction or validation failure."""
 
 
 class IntegrationError(RuntimeError):
-    """Trajectory aborted; `time` holds the offending instant."""
+    """Trajectory aborted; `time` holds the offending instant and `index`
+    the offending trajectory of a stack of several (else None)."""
 
-    def __init__(self, message: str, time: float):
-        super().__init__(f"{message} at t = {time:.6g}")
+    def __init__(self, message: str, time: float, index: int | None = None):
+        where = "" if index is None else f" in trajectory {index}"
+        super().__init__(f"{message}{where} at t = {time:.6g}")
         self.time = time
+        self.index = index
 
 
 @dataclass
@@ -199,8 +212,22 @@ class Trajectory:
         return float(self.fidelities[-1])
 
 
-def _record_steps(n_steps: int, stride: int) -> range:
-    return range(0, n_steps + 1, stride)
+def check_grid(t_end: float, step: float, stride: int) -> int:
+    """Validate a record grid and return its step count; a grid of more
+    than MAX_RECORDS records is refused before anything is allocated."""
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    if not t_end >= step:
+        raise ValueError(f"t_end must be at least one step (t_end={t_end!r}, step={step!r})")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    n_steps = t_end / step
+    if not (math.isfinite(n_steps) and -(-round(n_steps) // stride) < MAX_RECORDS):
+        raise ValueError(
+            f"t_end={t_end!r}, step={step!r} and stride={stride} give more than "
+            f"{MAX_RECORDS} records"
+        )
+    return round(n_steps)
 
 
 def _batch_diagnostics(rhos: np.ndarray, phi: np.ndarray):
@@ -209,9 +236,63 @@ def _batch_diagnostics(rhos: np.ndarray, phi: np.ndarray):
     trace_dev = np.abs(np.einsum("bii->b", rhos) - 1.0)
     adj = rhos.conj().transpose(0, 2, 1)
     herm_defect = np.linalg.norm(rhos - adj, axis=(1, 2))
-    min_eig = np.linalg.eigvalsh((rhos + adj) / 2.0)[:, 0]
+    # Halves first: the sum of two finite halves cannot overflow.
+    min_eig = np.linalg.eigvalsh(rhos / 2.0 + adj / 2.0)[:, 0]
     fid = np.einsum("i,bij,j->b", phi.conj(), rhos, phi).real
     return trace_dev, herm_defect, min_eig, fid
+
+
+def _one_step_matrix(gen: np.ndarray, step: float) -> np.ndarray:
+    """Quartic Taylor polynomial of the step map: for a linear
+    time-independent generator, exactly one classical RK4 step."""
+    d2 = gen.shape[0]
+    eye = np.eye(d2, dtype=complex)
+    p = eye + (step / 4.0) * gen
+    p = eye + (step / 3.0) * (gen @ p)
+    p = eye + (step / 2.0) * (gen @ p)
+    return eye + step * (gen @ p)
+
+
+def _record_blocks(model: ModelSpec, stack: np.ndarray, t_end: float, step: float, stride: int):
+    """Yield (times, states, diagnostics) of a stack (B, d, d) block by block.
+
+    Records fall every `stride` steps plus the final step; states are
+    (m, B, d, d) and each `_batch_diagnostics` array is (m, B). A block is
+    propagated, checked and diagnosed before the next one, so a consumer
+    that raises stops at the first offending record. The first non-finite
+    record raises once the finite records before it have been yielded;
+    its error names the trajectory when the stack holds several.
+    """
+    n_batch, d = stack.shape[0], model.dim
+    if stack.ndim != 3 or stack.shape[1:] != (d, d) or not n_batch:
+        raise ValueError(f"expected a nonempty (B, {d}, {d}) stack of states, got {stack.shape}")
+    n_steps = check_grid(t_end, step, stride)
+    n_records = -(-n_steps // stride) + 1
+    rest = n_steps % stride
+    # An unstable step overflows here and below; the finiteness check
+    # reports the first record it reaches. States are rows: times P^T.
+    with np.errstate(over="ignore", invalid="ignore"):
+        one_step = _one_step_matrix(rhs_matrix(model), step)
+        jump = np.linalg.matrix_power(one_step, stride).T.copy()
+        last_jump = np.linalg.matrix_power(one_step, rest).T.copy() if rest else jump
+    per_block = max(1, _BLOCK_STATES // n_batch)
+    y = stack.reshape(n_batch, d * d)
+    for first in range(0, n_records, per_block):
+        m = min(per_block, n_records - first)
+        times = np.minimum(np.arange(first, first + m, dtype=float) * stride, n_steps) * step
+        block = np.empty((m, n_batch, d * d), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(first, first + m):
+                y = block[r - first] = y if r == 0 else y @ (last_jump if r == n_records - 1 else jump)
+            finite = np.isfinite(block).all(axis=2)
+            n_ok = m if finite.all() else int(np.argmin(finite.all(axis=1)))
+            states = block[:n_ok].reshape(n_ok, n_batch, d, d)
+            diagnostics = _batch_diagnostics(states.reshape(-1, d, d), model.target)
+        if n_ok:
+            yield times[:n_ok], states, [x.reshape(n_ok, n_batch) for x in diagnostics]
+        if n_ok < m:
+            index = None if n_batch == 1 else int(np.argmin(finite[n_ok]))
+            raise IntegrationError("state became non-finite", float(times[n_ok]), index)
 
 
 def evolve(
@@ -224,8 +305,9 @@ def evolve(
     """Integrate the master equation with fixed-step classical RK4.
 
     Records are kept every `stride` steps plus the final step (stride=1 for
-    full resolution). The run aborts with IntegrationError when a record
-    breaches the conservation thresholds or the state stops being finite.
+    full resolution). The run aborts with IntegrationError at the first
+    record that holds a non-finite state or breaches a conservation
+    threshold.
     """
     r0 = qmat.as_complex_matrix(rho0)
     health = qmat.validate_density_matrix(r0, tol=1e-10)
@@ -233,91 +315,34 @@ def evolve(
         raise ValueError(f"initial state is not a valid density matrix: {health}")
     if step is None:
         step = default_step(model)
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if t_end < step:
-        raise ValueError("t_end must be at least one step")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-
-    d = model.dim
-    if r0.shape[0] != d:
-        raise ValueError("initial state dimension mismatch")
-    n_steps = int(round(t_end / step))
-    gen = rhs_matrix(model)
-    phi = model.target
     vecs = model.eigensystem.vectors
-    offdiag = ~np.eye(d, dtype=bool)
+    offdiag = ~np.eye(model.dim, dtype=bool)
 
-    times, states = [], []
-    fids, angles = [], []
-    trace_devs, herm_defects, min_eigs, coh_maxes = [], [], [], []
-
-    def record(step_index: int, y: np.ndarray) -> None:
-        t = step_index * step
-        rho = y.reshape(d, d)
-        if not np.all(np.isfinite(rho)):
-            raise IntegrationError("state became non-finite", t)
-        tr_dev, herm, min_eig, fid = (
-            x[0] for x in _batch_diagnostics(rho[None, :, :], phi)
-        )
-        if tr_dev > TRACE_TOL:
-            raise IntegrationError(f"trace deviation {tr_dev:.3e} beyond threshold", t)
-        if herm > HERMITICITY_TOL:
-            raise IntegrationError(f"Hermiticity defect {herm:.3e} beyond threshold", t)
-        if min_eig < -POSITIVITY_TOL:
-            raise IntegrationError(f"eigenvalue {min_eig:.3e} beyond threshold", t)
-        if fid < -FIDELITY_SLACK or fid > 1.0 + FIDELITY_SLACK:
-            raise IntegrationError(f"fidelity {fid} outside [0, 1]", t)
-        in_basis = vecs.conj().T @ rho @ vecs
-        times.append(t)
-        states.append(rho.copy())
-        fids.append(float(fid))
-        angles.append(float(math.acos(min(max(float(fid), 0.0), 1.0))))
-        trace_devs.append(float(tr_dev))
-        herm_defects.append(float(herm))
-        min_eigs.append(float(min_eig))
-        coh_maxes.append(float(np.max(np.abs(in_basis[offdiag]))))
-
-    y = r0.reshape(-1).astype(complex)
-    record(0, y)
-    next_records = set(_record_steps(n_steps, stride))
-    for i in range(1, n_steps + 1):
-        k1 = gen @ y
-        k2 = gen @ (y + (0.5 * step) * k1)
-        k3 = gen @ (y + (0.5 * step) * k2)
-        k4 = gen @ (y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if i in next_records or i == n_steps:
-            record(i, y)
-
-    return Trajectory(
-        model=model,
-        step=step,
-        times=np.array(times),
-        states=np.array(states),
-        fidelities=np.array(fids),
-        angles=np.array(angles),
-        trace_devs=np.array(trace_devs),
-        herm_defects=np.array(herm_defects),
-        min_eigs=np.array(min_eigs),
-        coherence_maxes=np.array(coh_maxes),
-    )
-
-
-def _one_step_matrix(gen: np.ndarray, step: float) -> np.ndarray:
-    """Quartic Taylor polynomial of the step map.
-
-    For a linear time-independent generator this is algebraically identical
-    to one classical RK4 step, so batch and single-trajectory integration
-    follow the same method.
-    """
-    d2 = gen.shape[0]
-    eye = np.eye(d2, dtype=complex)
-    p = eye + (step / 4.0) * gen
-    p = eye + (step / 3.0) * (gen @ p)
-    p = eye + (step / 2.0) * (gen @ p)
-    return eye + step * (gen @ p)
+    columns = []
+    for times, states, diagnostics in _record_blocks(model, r0[None], t_end, step, stride):
+        rhos = states[:, 0]
+        trace_dev, herm, min_eig, fid = (x[:, 0] for x in diagnostics)
+        # Negated so that a NaN diagnostic counts as a breach.
+        breaches = ~np.stack([
+            trace_dev <= TRACE_TOL,
+            herm <= HERMITICITY_TOL,
+            min_eig >= -POSITIVITY_TOL,
+            (fid >= -FIDELITY_SLACK) & (fid <= 1.0 + FIDELITY_SLACK),
+        ])
+        if breaches.any():
+            r = int(np.argmax(breaches.any(axis=0)))
+            message = (
+                f"trace deviation {trace_dev[r]:.3e} beyond threshold",
+                f"Hermiticity defect {herm[r]:.3e} beyond threshold",
+                f"eigenvalue {min_eig[r]:.3e} beyond threshold",
+                f"fidelity {fid[r]} outside [0, 1]",
+            )[int(np.argmax(breaches[:, r]))]
+            raise IntegrationError(message, float(times[r]))
+        angle = np.arccos(np.clip(fid, 0.0, 1.0))
+        coherence = np.abs((vecs.conj().T @ rhos @ vecs)[:, offdiag]).max(axis=1, initial=0.0)
+        # In the order of the Trajectory fields.
+        columns.append((times, rhos, fid, angle, trace_dev, herm, min_eig, coherence))
+    return Trajectory(model, step, *(np.concatenate(c) for c in zip(*columns)))
 
 
 @dataclass
@@ -347,60 +372,32 @@ def evolve_batch(
 
     Uses the same fixed step and record grid as `evolve` but keeps only
     per-record fidelities and running conservation extrema per state.
-    Aborts only on non-finite states; threshold checks are the caller's.
+    Aborts only on a non-finite state, naming its trajectory index;
+    threshold checks are the caller's.
     """
     stack = np.asarray(states, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"expected a (B, d, d) stack, got {stack.shape}")
-    d = model.dim
-    if stack.shape[1] != d:
-        raise ValueError("state dimension mismatch")
     if step is None:
         step = default_step(model)
-    if step <= 0.0 or t_end < step:
-        raise ValueError("need step > 0 and t_end >= step")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-
-    n_batch = stack.shape[0]
-    n_steps = int(round(t_end / step))
-    gen = rhs_matrix(model)
-    propagator = _one_step_matrix(gen, step)
-    phi = model.target
-
-    y = stack.reshape(n_batch, d * d).T.copy()  # (d^2, B), columns are states
-    times = []
-    fids = []
+    n_batch = len(stack)
+    times, fids = [], []
     max_trace = np.zeros(n_batch)
     max_herm = np.zeros(n_batch)
     min_eig = np.full(n_batch, np.inf)
-
-    def record(step_index: int) -> None:
-        t = step_index * step
-        rhos = np.ascontiguousarray(y.T).reshape(n_batch, d, d)
-        if not np.all(np.isfinite(rhos)):
-            raise IntegrationError("batch state became non-finite", t)
-        tr_dev, herm, eig_lo, fid = _batch_diagnostics(rhos, phi)
-        times.append(t)
+    blocks = _record_blocks(model, stack, t_end, step, stride)
+    for block_times, block_states, (trace_dev, herm, eig_lo, fid) in blocks:
+        times.append(block_times)
         fids.append(fid)
-        np.maximum(max_trace, tr_dev, out=max_trace)
-        np.maximum(max_herm, herm, out=max_herm)
-        np.minimum(min_eig, eig_lo, out=min_eig)
-
-    record(0)
-    next_records = set(_record_steps(n_steps, stride))
-    for i in range(1, n_steps + 1):
-        y = propagator @ y
-        if i in next_records or i == n_steps:
-            record(i)
+        np.maximum(max_trace, trace_dev.max(axis=0), out=max_trace)
+        np.maximum(max_herm, herm.max(axis=0), out=max_herm)
+        np.minimum(min_eig, eig_lo.min(axis=0), out=min_eig)
 
     return BatchEvolution(
-        times=np.array(times),
-        fidelities=np.column_stack(fids),
+        times=np.concatenate(times),
+        fidelities=np.ascontiguousarray(np.concatenate(fids).T),
         max_trace_dev=max_trace,
         max_herm_defect=max_herm,
         min_eigenvalue=min_eig,
-        final_states=np.ascontiguousarray(y.T).reshape(n_batch, d, d),
+        final_states=block_states[-1].copy(),
     )
 
 

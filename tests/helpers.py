@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from dspqsl import qmat
-from dspqsl.lindblad import ModelSpec
+from dspqsl import lindblad, qmat
+from dspqsl.lindblad import IntegrationError, ModelSpec
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -74,3 +74,51 @@ def random_distinct_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
         lam /= lam.sum()
         if np.unique(lam).size == n:
             return lam
+
+
+def rk4_reference(model: ModelSpec, rho0, t_end: float, step: float, stride: int):
+    """Oracle for the record stepper: classical RK4 one step at a time.
+
+    Four generator matvecs per step; records every `stride` steps plus the
+    final step. Returns (times, states). The first record that is
+    non-finite or breaches a conservation threshold raises IntegrationError
+    at its time, with a message that starts like the integrator's (checks
+    in the same order: non-finite, trace, Hermiticity, eigenvalue,
+    fidelity).
+    """
+    d = model.dim
+    gen = lindblad.rhs_matrix(model)
+    phi = model.target
+    n_steps = int(round(t_end / step))
+    times, states = [], []
+
+    def record(step_index: int, y: np.ndarray) -> None:
+        t = step_index * step
+        rho = y.reshape(d, d)
+        if not np.all(np.isfinite(rho)):
+            raise IntegrationError("state became non-finite", t)
+        adj = rho.conj().T
+        fid = (phi.conj() @ rho @ phi).real
+        checks = (
+            ("trace deviation", abs(np.trace(rho) - 1.0) <= lindblad.TRACE_TOL),
+            ("Hermiticity defect", np.linalg.norm(rho - adj) <= lindblad.HERMITICITY_TOL),
+            ("eigenvalue", np.linalg.eigvalsh((rho + adj) / 2.0)[0] >= -lindblad.POSITIVITY_TOL),
+            ("fidelity", -lindblad.FIDELITY_SLACK <= fid <= 1.0 + lindblad.FIDELITY_SLACK),
+        )
+        for name, ok in checks:
+            if not ok:
+                raise IntegrationError(f"{name} beyond threshold", t)
+        times.append(t)
+        states.append(rho.copy())
+
+    y = qmat.as_complex_matrix(rho0).reshape(-1)
+    record(0, y)
+    for i in range(1, n_steps + 1):
+        k1 = gen @ y
+        k2 = gen @ (y + (0.5 * step) * k1)
+        k3 = gen @ (y + (0.5 * step) * k2)
+        k4 = gen @ (y + step * k3)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if i % stride == 0 or i == n_steps:
+            record(i, y)
+    return np.array(times), np.array(states)

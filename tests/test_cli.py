@@ -71,6 +71,36 @@ class TestConfigParsing:
             cli.resolve_permutations(cfg, lam, model)
 
 
+class TestMalformedConfigs:
+    @pytest.mark.parametrize(
+        "overrides, argv, needle",
+        [
+            ({"model": "custom", "custom": dict(TWO_LEVEL_CUSTOM, rates=["fast"])}, [], "custom.rates"),
+            ({"model": "custom", "custom": dict(TWO_LEVEL_CUSTOM, rates=[-0.5])}, [], "custom.rates"),
+            ({"step": math.inf}, [], "'step'"),
+            ({"t_end": 1.0, "step": 2.0}, [], "at least one step"),
+            ({"t_end": 10.0}, ["--step", "50"], "at least one step"),
+            ({"t_end": math.inf}, [], "'t_end'"),
+            ({"populations": "thermal", "beta": math.nan}, [], "'beta'"),
+            ({"stride": True}, [], "stride"),
+            ({"t_end": 1e9}, [], "t_end=1000000000.0, step=0.05 and stride=20"),
+        ],
+        ids=[
+            "non-numeric-rate", "negative-rate", "infinite-step", "step-beyond-t_end",
+            "cli-step-beyond-t_end", "infinite-t_end", "nan-beta", "boolean-stride",
+            "too-many-records",
+        ],
+    )
+    def test_exit_2_with_a_one_line_message(self, tmp_path, capsys, overrides, argv, needle):
+        config = write_config(tmp_path, permutation="A", **overrides)
+        out = str(tmp_path / "x.csv")
+        code = cli.main(["simulate", "--config", config, "--out", out, *argv])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert needle in err
+
+
 class TestModelInfo:
     def test_rydberg_report(self, tmp_path, capsys):
         code = cli.main(["model-info", "--config", write_config(tmp_path)])

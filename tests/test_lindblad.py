@@ -1,6 +1,7 @@
 """Tests for the master-equation generator and the RK4 integrator."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dspqsl import dsp_core, lindblad, qmat, rydberg
-from helpers import dark_state_model, random_density
+from helpers import dark_state_model, random_density, rk4_reference
 
 
 @pytest.fixture()
@@ -160,6 +161,65 @@ class TestEvolve:
         with pytest.raises(lindblad.IntegrationError) as info:
             lindblad.evolve(model, demo_state, t_end=20000.0, step=200.0, stride=1)
         assert info.value.time > 0
+        assert info.value.index is None
+
+    def test_refuses_too_many_records_up_front(self, model, demo_state):
+        with pytest.raises(ValueError, match=r"t_end=1000000000\.0, step=0\.05 and stride=20"):
+            lindblad.evolve(model, demo_state, t_end=1e9, step=0.05, stride=20)
+        with pytest.raises(ValueError, match="records"):
+            lindblad.evolve_batch(model, demo_state[None], t_end=float("inf"), step=0.05)
+
+    def test_admits_the_demo_grid_at_stride_one(self):
+        assert lindblad.check_grid(5000.0, 0.05, 1) == 100_000
+        assert lindblad.check_grid(5000.0, 0.05, 20) == 100_000
+
+
+def target_fidelities(model, states):
+    return np.einsum("i,rij,j->r", model.target.conj(), states, model.target).real
+
+
+class TestRecordStepperAgainstOracle:
+    # 2007 steps of 0.05: the final record is off-stride for strides 7 and 20.
+    T_END = 100.35
+
+    @pytest.mark.parametrize("stride", [1, 7, 20])
+    def test_evolve_matches_per_step_rk4(self, model, demo_state, stride):
+        times, states = rk4_reference(model, demo_state, self.T_END, 0.05, stride)
+        traj = lindblad.evolve(model, demo_state, self.T_END, step=0.05, stride=stride)
+        assert np.array_equal(traj.times, times)
+        assert np.max(np.abs(traj.states - states)) < 1e-12
+        assert np.max(np.abs(traj.fidelities - target_fidelities(model, states))) < 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 7, 20])
+    def test_batch_matches_per_step_rk4(self, model, demo_pops, stride):
+        stack = np.stack([
+            dsp_core.state_from_populations(model.eigensystem, demo_pops),
+            dsp_core.state_from_populations(model.eigensystem, np.sort(demo_pops)),
+            np.eye(6) / 6,
+        ])
+        batch = lindblad.evolve_batch(model, stack, self.T_END, step=0.05, stride=stride)
+        for b, rho0 in enumerate(stack):
+            times, states = rk4_reference(model, rho0, self.T_END, 0.05, stride)
+            assert np.array_equal(batch.times, times)
+            assert np.max(np.abs(batch.fidelities[b] - target_fidelities(model, states))) < 1e-12
+            assert np.max(np.abs(batch.final_states[b] - states[-1])) < 1e-12
+
+    @pytest.mark.parametrize(
+        "step, stride",
+        [(60.0, 7), (200.0, 7), (200.0, 20), (200.0, 200)],
+        ids=["eigenvalue", "trace", "overflow-in-block", "non-finite"],
+    )
+    def test_unstable_step_aborts_at_the_oracle_record(self, model, demo_state, step, stride):
+        with np.errstate(all="ignore"), pytest.raises(lindblad.IntegrationError) as expected:
+            rk4_reference(model, demo_state, 1e6, step, stride)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(lindblad.IntegrationError) as got:
+                lindblad.evolve(model, demo_state, 1e6, step=step, stride=stride)
+        assert got.value.time == expected.value.time
+        check = str(expected.value).split(" beyond")[0].split(" at t")[0]
+        assert str(got.value).startswith(check)
+        assert got.value.index is None
 
 
 class TestEvolveBatch:
@@ -188,6 +248,15 @@ class TestEvolveBatch:
     def test_rejects_bad_stack(self, model):
         with pytest.raises(ValueError, match="stack"):
             lindblad.evolve_batch(model, np.eye(6), t_end=10.0)
+
+    def test_names_the_non_finite_trajectory(self, model, demo_state):
+        bad = demo_state.copy()
+        bad[0, 1] = np.nan
+        stack = np.stack([demo_state, bad, model.target_projector])
+        with pytest.raises(lindblad.IntegrationError, match="in trajectory 1 at t = 0") as info:
+            lindblad.evolve_batch(model, stack, t_end=10.0)
+        assert info.value.index == 1
+        assert info.value.time == 0.0
 
 
 class TestCoherenceDecouplingDiagnostic:
