@@ -18,7 +18,6 @@ from .dsp_core import (
     entropy_change,
     qsl_margins,
     qsl_time,
-    qsl_time_loose,
     split_state,
     state_from_populations,
     trajectory_qsl_check,
@@ -102,7 +101,6 @@ __all__ = [
     "passive_permutation",
     "qsl_margins",
     "qsl_time",
-    "qsl_time_loose",
     "rhs_matrix",
     "split_state",
     "state_from_populations",

@@ -153,30 +153,40 @@ def _number(raw: dict, key: str, default: float | None) -> float:
     return number
 
 
-def _matrix_from_pairs(obj, dim: int, what: str) -> np.ndarray:
-    _expect(isinstance(obj, list) and len(obj) == dim, f"{what} must have {dim} rows")
-    m = np.zeros((dim, dim), dtype=complex)
+def _from_pairs(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Complex array of `shape` from nested [re, im] pairs, converted at once.
+
+    A malformed input raises ConfigError naming its first defect in
+    row-major order by key path, e.g. `custom.hamiltonian[0][1]`.
+    """
+    try:
+        pairs = np.array(obj, dtype=float)
+        if pairs.shape == (*shape, 2) and np.isfinite(pairs).all():
+            return pairs[..., 0] + 1j * pairs[..., 1]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    dim = shape[0]
+    kind = "rows" if len(shape) == 2 else "entries"
+    _expect(isinstance(obj, list) and len(obj) == dim, f"{what} must have {dim} {kind}")
     for i, row in enumerate(obj):
-        _expect(isinstance(row, list) and len(row) == dim, f"{what} row {i} must have {dim} entries")
-        for j, pair in enumerate(row):
-            _expect(
-                isinstance(pair, list) and len(pair) == 2,
-                f"{what}[{i}][{j}] must be a [re, im] pair",
-            )
-            m[i, j] = complex(float(pair[0]), float(pair[1]))
-    return m
-
-
-def _vector_from_pairs(obj, dim: int, what: str) -> np.ndarray:
-    _expect(isinstance(obj, list) and len(obj) == dim, f"{what} must have {dim} entries")
-    v = np.zeros(dim, dtype=complex)
-    for i, pair in enumerate(obj):
+        if len(shape) == 1:
+            _expect_pair(row, f"{what}[{i}]")
+            continue
         _expect(
-            isinstance(pair, list) and len(pair) == 2,
-            f"{what}[{i}] must be a [re, im] pair",
+            isinstance(row, list) and len(row) == dim, f"{what} row {i} must have {dim} entries"
         )
-        v[i] = complex(float(pair[0]), float(pair[1]))
-    return v
+        for j, pair in enumerate(row):
+            _expect_pair(pair, f"{what}[{i}][{j}]")
+    raise ConfigError(f"{what} must hold [re, im] pairs of finite numbers")
+
+
+def _expect_pair(pair, where: str) -> None:
+    _expect(isinstance(pair, list) and len(pair) == 2, f"{where} must be a [re, im] pair")
+    try:
+        finite = all(math.isfinite(float(x)) for x in pair)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    _expect(finite, f"{where} must be a [re, im] pair of finite numbers, got {pair!r}")
 
 
 def load_model(cfg: RunConfig, strict: bool = True) -> ModelSpec:
@@ -207,19 +217,13 @@ def _load_custom_model(raw: dict | None) -> ModelSpec:
         )
     dim = raw.get("dim")
     _expect(isinstance(dim, int) and dim >= 1, "custom.dim must be a positive integer")
-    try:
-        h = _matrix_from_pairs(raw.get("hamiltonian"), dim, "custom.hamiltonian")
-        jump_raw = raw.get("jump_ops", [])
-        _expect(isinstance(jump_raw, list), "custom.jump_ops must be a list")
-        jumps = [
-            _matrix_from_pairs(obj, dim, f"custom.jump_ops[{k}]")
-            for k, obj in enumerate(jump_raw)
-        ]
-        target = _vector_from_pairs(raw.get("target"), dim, "custom.target")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad custom model matrices: {exc}") from exc
+    h = _from_pairs(raw.get("hamiltonian"), (dim, dim), "custom.hamiltonian")
+    jump_raw = raw.get("jump_ops", [])
+    _expect(isinstance(jump_raw, list), "custom.jump_ops must be a list")
+    jumps = [
+        _from_pairs(obj, (dim, dim), f"custom.jump_ops[{k}]") for k, obj in enumerate(jump_raw)
+    ]
+    target = _from_pairs(raw.get("target"), (dim,), "custom.target")
     rates_raw = raw.get("rates", [])
     _expect(
         isinstance(rates_raw, list) and len(rates_raw) == len(jumps),

@@ -25,7 +25,6 @@ __all__ = [
     "entropy_change",
     "qsl_margins",
     "qsl_time",
-    "qsl_time_loose",
     "qsl_times_from_overlap",
     "split_state",
     "state_from_populations",
@@ -137,11 +136,6 @@ def qsl_time(model, rho0) -> QslReport:
     a = coefficient_a(model)
     t_qsl, t_qsl_2 = qsl_times_from_overlap(cos0, a)
     return QslReport(a=a, cos_theta0=min(max(cos0, 0.0), 1.0), t_qsl=t_qsl, t_qsl_2=t_qsl_2)
-
-
-def qsl_time_loose(model, rho0) -> float:
-    """The looser (1 - cos)/A bound; never exceeds `qsl_time`'s value."""
-    return qsl_time(model, rho0).t_qsl_2
 
 
 def dissipated_heat(model, rho0) -> float:

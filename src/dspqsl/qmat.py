@@ -1,14 +1,14 @@
 """Dense complex linear algebra for small Hermitian problems.
 
 Everything operates on plain numpy arrays: kets are 1-d complex arrays,
-operators are square 2-d complex arrays. The intended regime is tiny
-dense matrices (dim <= ~16, nothing beyond ~64), so clarity wins over
-asymptotic tricks throughout.
+operators are square 2-d complex arrays. Spectra come from LAPACK; this
+module adds the ascending eigenbasis with the target aligned in its
+degenerate cluster, a fixed phase convention and a residual check.
+Intended for small dense matrices (dim <= ~16, nothing beyond ~64).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +33,13 @@ HERMITICITY_RTOL = 1e-12
 # degenerate cluster.
 DEGENERACY_GAP = 1e-9
 
+# Relative magnitude within which two components of an eigenvector count
+# as tied for the phase convention.
+PHASE_TIE_RTOL = 1e-9
+
 
 class ConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted before the off-diagonal mass vanished."""
+    """LAPACK failed, or the ordered eigensystem missed its residual check."""
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -109,69 +113,31 @@ class EigenSystem:
         return self.vectors @ as_complex_matrix(m) @ self.vectors.conj().T
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] with a complex Jacobi rotation, updating a and v in place."""
-    apq = a[p, q]
-    mag = abs(apq)
-    phase = apq / mag
-    theta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    # Smaller root of t^2 - 2*theta*t - 1 = 0 for a stable rotation angle.
-    t = -math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    # Right-multiply by the rotation U (columns p, q).
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s * np.conj(phase) * col_q
-    a[:, q] = -s * phase * col_p + c * col_q
-    # Left-multiply by U^dag (rows p, q).
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + s * phase * row_q
-    a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-    # The rotation is constructed to annihilate this pair exactly.
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p + s * np.conj(phase) * vec_q
-    v[:, q] = -s * phase * vec_p + c * vec_q
-
-
 def _degenerate_clusters(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
-    """Half-open index ranges of eigenvalues closer than `gap` to a neighbour."""
+    """Half-open index ranges of runs of 2+ eigenvalues less than `gap` apart."""
     clusters = []
     start = 0
     for i in range(1, len(values) + 1):
         if i == len(values) or values[i] - values[i - 1] >= gap:
-            clusters.append((start, i))
+            if i - start > 1:
+                clusters.append((start, i))
             start = i
     return clusters
 
 
 def _align_cluster_to_target(
-    vals: np.ndarray,
+    clusters: list[tuple[int, int]],
     vecs: np.ndarray,
     target: np.ndarray,
     target_index: int | None,
 ) -> None:
-    """Rotate the degenerate cluster holding most of `target` onto it.
+    """Rotate the one of `clusters` that holds most of `target` onto it.
 
     Within the chosen cluster one basis vector is replaced by the normalized
     projection of the target, placed at `target_index` (1-based) when that
     slot lies inside the cluster, and the remaining vectors are rebuilt by
     Gram-Schmidt so the cluster stays orthonormal.
     """
-    clusters = [c for c in _degenerate_clusters(vals, DEGENERACY_GAP) if c[1] - c[0] > 1]
     if not clusters:
         return
     weights = []
@@ -209,38 +175,39 @@ def _align_cluster_to_target(
 
 
 def _fix_phases(vecs: np.ndarray, skip: int | None = None) -> None:
-    """Make the largest-magnitude component of each column real positive."""
-    for k in range(vecs.shape[1]):
-        if k == skip:
-            continue
-        col = vecs[:, k]
-        lead = col[int(np.argmax(np.abs(col)))]
-        if abs(lead) > 0:
-            vecs[:, k] = col * (np.conj(lead) / abs(lead))
+    """Make the leading component of each column real positive.
+
+    The leading component is the first whose magnitude lies within
+    PHASE_TIE_RTOL of the column maximum, so components of equal magnitude
+    are decided by their index rather than by roundoff.
+    """
+    mags = np.abs(vecs)
+    rows = np.argmax(mags >= (1.0 - PHASE_TIE_RTOL) * mags.max(axis=0), axis=0)
+    lead = vecs[rows, np.arange(vecs.shape[1])]
+    phases = np.conj(lead) / np.abs(lead)
+    if skip is not None:
+        phases[skip] = 1.0
+    vecs *= phases
 
 
-def hermitian_eigensystem(
-    m,
-    target=None,
-    target_index: int | None = None,
-    *,
-    max_sweeps: int = 100,
-    off_tol: float = 1e-13,
-) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> EigenSystem:
+    """Ordered eigendecomposition of a Hermitian matrix: LAPACK plus target alignment.
 
-    Sweeps run until the off-diagonal Frobenius mass drops below `off_tol`
-    (relative to the matrix scale) or `max_sweeps` is exhausted. Eigenvalues
-    come out ascending. Degenerate clusters (gap < 1e-9) are rotated so that,
-    when `target` is given, a single basis vector carries the full projection
-    of the target and sits at the 1-based `target_index` if that slot falls
-    inside the cluster. Output is deterministic for identical input.
+    One `np.linalg.eigh` call on the Hermitized matrix gives ascending
+    eigenvalues and orthonormal eigenvector columns. Degenerate clusters
+    (gap < 1e-9) share their mean eigenvalue and are re-orthonormalized.
+    When `target` is given, the cluster holding most of the target is
+    rotated so that a single basis vector carries its full projection and
+    sits at the 1-based `target_index` if that slot falls inside the
+    cluster. Every other column has its leading component (the first
+    within a relative 1e-9 of the column's largest magnitude) made real
+    positive. Output is deterministic for identical input.
 
     Raises ValueError for non-Hermitian input (with the asymmetry norm) and
-    ConvergenceError if the sweep budget runs out.
+    ConvergenceError if LAPACK fails or the result misses the residual and
+    orthonormality check.
     """
-    a = as_complex_matrix(m).copy()
-    n = a.shape[0]
+    a = as_complex_matrix(m)
     scale = frobenius_norm(a)
     defect = hermiticity_defect(a)
     if defect > HERMITICITY_RTOL * max(1.0, scale):
@@ -248,48 +215,31 @@ def hermitian_eigensystem(
             f"matrix is not Hermitian: ||M - M^dag||_F = {defect:.3e} "
             f"(relative tolerance {HERMITICITY_RTOL})"
         )
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
+    try:
+        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh failed: {exc}") from exc
 
-    threshold = off_tol * max(1.0, scale)
-    skip_below = threshold / max(n * n, 1)
-    off = _offdiag_norm(a)
-    sweeps = 0
-    while off > threshold:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"no convergence after {max_sweeps} sweeps; "
-                f"off-diagonal norm {off:.3e} (threshold {threshold:.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip_below:
-                    _jacobi_rotate(a, v, p, q)
-        sweeps += 1
-        off = _offdiag_norm(a)
-
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-
-    # Re-orthonormalize degenerate clusters (harmless polish elsewhere).
-    for lo, hi in _degenerate_clusters(vals, DEGENERACY_GAP):
-        if hi - lo > 1:
-            vecs[:, lo:hi] = np.linalg.qr(vecs[:, lo:hi])[0]
+    # A degenerate cluster is one level. Its roundoff-split eigenvalues get
+    # their mean, so ties downstream (equal Gibbs weights, say) do not hang
+    # on the solver's roundoff; its vectors are re-orthonormalized.
+    clusters = _degenerate_clusters(vals, DEGENERACY_GAP)
+    for lo, hi in clusters:
+        vals[lo:hi] = vals[lo:hi].mean()
+        vecs[:, lo:hi] = np.linalg.qr(vecs[:, lo:hi])[0]
 
     aligned_slot = None
     if target is not None:
         phi = as_ket(target)
-        if phi.shape[0] != n:
+        if phi.shape[0] != a.shape[0]:
             raise ValueError("target dimension does not match the matrix")
-        _align_cluster_to_target(vals, vecs, phi, target_index)
+        _align_cluster_to_target(clusters, vecs, phi, target_index)
         overlaps = np.abs(vecs.conj().T @ phi)
         aligned_slot = int(np.argmax(overlaps))
     _fix_phases(vecs, skip=aligned_slot)
 
     system = EigenSystem(eigenvalues=vals, vectors=vecs)
-    _check_eigensystem(as_complex_matrix(m), system)
+    _check_eigensystem(a, system)
     return system
 
 
@@ -331,8 +281,7 @@ def validate_density_matrix(rho, tol: float = 1e-10) -> ValidityReport:
     r = as_complex_matrix(rho)
     defect = hermiticity_defect(r)
     trace_dev = abs(complex(np.trace(r)) - 1.0)
-    herm = (r + r.conj().T) / 2.0
-    min_eig = float(hermitian_eigensystem(herm).eigenvalues[0])
+    min_eig = float(np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0])
     return ValidityReport(
         hermiticity_defect=float(defect),
         trace_deviation=float(trace_dev),

@@ -18,6 +18,11 @@ TWO_LEVEL_CUSTOM = {
 }
 
 
+def custom(**fields):
+    """Overrides selecting the two-level custom model with `fields` replaced."""
+    return {"model": "custom", "custom": dict(TWO_LEVEL_CUSTOM, **fields)}
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     payload = {"model": "rydberg"}
     payload.update(overrides)
@@ -75,8 +80,8 @@ class TestMalformedConfigs:
     @pytest.mark.parametrize(
         "overrides, argv, needle",
         [
-            ({"model": "custom", "custom": dict(TWO_LEVEL_CUSTOM, rates=["fast"])}, [], "custom.rates"),
-            ({"model": "custom", "custom": dict(TWO_LEVEL_CUSTOM, rates=[-0.5])}, [], "custom.rates"),
+            (custom(rates=["fast"]), [], "custom.rates"),
+            (custom(rates=[-0.5]), [], "custom.rates"),
             ({"step": math.inf}, [], "'step'"),
             ({"t_end": 1.0, "step": 2.0}, [], "at least one step"),
             ({"t_end": 10.0}, ["--step", "50"], "at least one step"),
@@ -84,11 +89,35 @@ class TestMalformedConfigs:
             ({"populations": "thermal", "beta": math.nan}, [], "'beta'"),
             ({"stride": True}, [], "stride"),
             ({"t_end": 1e9}, [], "t_end=1000000000.0, step=0.05 and stride=20"),
+            (
+                custom(hamiltonian=[[[-1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]),
+                [],
+                "custom.hamiltonian row 1 must have 2 entries",
+            ),
+            (
+                custom(hamiltonian=[[[-1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+                [],
+                "custom.hamiltonian[0][0] must be a [re, im] pair",
+            ),
+            (
+                custom(hamiltonian=[[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["one", 0.0]]]),
+                [],
+                "custom.hamiltonian[1][1]",
+            ),
+            (custom(hamiltonian=[[[-1.0, 0.0], [0.0, 0.0]]]), [], "custom.hamiltonian must have 2 rows"),
+            (custom(target=[[1.0, 0.0]]), [], "custom.target must have 2 entries"),
+            (
+                custom(jump_ops=[[[[0.0, 0.0], [1.0]], [[0.0, 0.0], [0.0, 0.0]]]]),
+                [],
+                "custom.jump_ops[0][0][1] must be a [re, im] pair",
+            ),
+            (custom(target=[[10**400, 0.0], [0.0, 0.0]]), [], "custom.target[0]"),
         ],
         ids=[
             "non-numeric-rate", "negative-rate", "infinite-step", "step-beyond-t_end",
             "cli-step-beyond-t_end", "infinite-t_end", "nan-beta", "boolean-stride",
-            "too-many-records",
+            "too-many-records", "ragged-row", "three-element-pair", "string-entry",
+            "wrong-row-count", "short-target", "malformed-jump-op", "overflowing-entry",
         ],
     )
     def test_exit_2_with_a_one_line_message(self, tmp_path, capsys, overrides, argv, needle):
@@ -130,6 +159,17 @@ class TestModelInfo:
         out = capsys.readouterr().out
         assert code == 0
         assert "target index: 1" in out
+
+    def test_eigensolver_failure_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        code = cli.main(["model-info", "--config", write_config(tmp_path, **custom())])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "did not converge" in err
 
     def test_custom_model_failing_conditions(self, tmp_path, capsys):
         broken = dict(TWO_LEVEL_CUSTOM, target=[[0.0, 0.0], [1.0, 0.0]])

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dspqsl import dsp_core, lindblad, qmat, rydberg
-from helpers import charpoly_eigenvalues, random_density, random_hermitian, random_unitary
+from dspqsl import dsp_core, lindblad, optimizer, qmat, rydberg
+from helpers import (
+    charpoly_eigenvalues,
+    jacobi_eigensystem,
+    random_density,
+    random_hermitian,
+    random_unitary,
+)
 
 
 class TestHermitianEigensystem:
@@ -43,10 +49,79 @@ class TestHermitianEigensystem:
             qmat.hermitian_eigensystem(m)
 
     def test_convergence_budget(self):
+        # The oracle's exhausted budget surfaces as LAPACK's would.
         rng = np.random.default_rng(3)
         h = random_hermitian(rng, 5)
         with pytest.raises(qmat.ConvergenceError, match="off-diagonal"):
-            qmat.hermitian_eigensystem(h, max_sweeps=0)
+            jacobi_eigensystem(h, max_sweeps=0)
+
+    @pytest.mark.parametrize(
+        "perturb, message",
+        [
+            (lambda vals, vecs: (vals, vecs + 1e-6), "orthonormality"),
+            (lambda vals, vecs: (vals + 1e-6, vecs), "residual"),
+        ],
+        ids=["skewed-vectors", "shifted-values"],
+    )
+    def test_perturbed_lapack_result_is_refused(self, monkeypatch, perturb, message):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: perturb(*eigh(a)))
+        h = random_hermitian(np.random.default_rng(5), 6)
+        with pytest.raises(qmat.ConvergenceError, match=message):
+            qmat.hermitian_eigensystem(h)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 16),
+        pair=st.integers(0, 14),
+        upper=st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_matches_jacobi_oracle_with_target_in_a_degenerate_pair(
+        self, seed, dim, pair, upper
+    ):
+        # Spectrum with gaps >= 0.1 except one exact pair; the target is a
+        # random combination of the pair's eigenvectors, aimed at one slot.
+        rng = np.random.default_rng(seed)
+        pair %= dim - 1
+        gaps = rng.uniform(0.1, 1.0, size=dim - 1)
+        gaps[pair] = 0.0
+        values = np.concatenate([[0.0], np.cumsum(gaps)]) - rng.uniform(0.0, dim)
+        u = random_unitary(rng, dim)
+        h = (u * values) @ u.conj().T
+        h = (h + h.conj().T) / 2.0
+        phi = qmat.as_ket(u[:, pair:pair + 2] @ (rng.normal(size=2) + 1j * rng.normal(size=2)))
+        target_index = pair + 1 + int(upper)
+
+        es = qmat.hermitian_eigensystem(h, target=phi, target_index=target_index)
+        ref = jacobi_eigensystem(h, target=phi, target_index=target_index)
+        assert np.max(np.abs(es.eigenvalues - ref.eigenvalues)) <= 1e-12 * qmat.frobenius_norm(h)
+        overlaps = np.abs(es.vectors.conj().T @ phi) ** 2
+        assert int(np.argmax(overlaps)) == target_index - 1
+        assert abs(overlaps[target_index - 1] - 1.0) < 1e-12
+        assert np.max(np.abs(es.vectors - ref.vectors)) < 1e-10
+
+    def test_degenerate_cluster_shares_one_eigenvalue(self, model):
+        # Each solver splits the demo's two zero modes by a different ~1e-18.
+        # As one level they get one value, so their Gibbs weights tie and a
+        # thermal sweep scores 6!/2 distinct arrangements with either solver.
+        for es in (model.eigensystem, jacobi_eigensystem(model.h_s)):
+            assert es.eigenvalues[2] == es.eigenvalues[3]
+        lam = rydberg.thermal_populations(20.0, model.eigensystem.eigenvalues)
+        assert len(optimizer.enumerate_permutations(lam, model)) == 360
+
+    def test_demo_columns_follow_the_tie_robust_phase_convention(self, model):
+        # Columns 1-3 and 5-6 each have tied largest components (two or
+        # four of them); the first of the tie is the one made real positive.
+        # Only column 1 of the closed form starts out with a negative one.
+        # Column 4 is the Bell target, which keeps its own phase. Roundoff
+        # decides ties differently in the two solvers, so both must agree.
+        expected = rydberg.analytic_eigenbasis().vectors * np.array([-1, 1, 1, 1, 1, 1])
+        oracle = jacobi_eigensystem(
+            model.h_s, target=model.target, target_index=rydberg.TARGET_INDEX
+        )
+        for es in (model.eigensystem, oracle):
+            assert np.max(np.abs(es.vectors - expected)) < 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
