@@ -107,7 +107,7 @@ def parse_config(path: str | Path) -> RunConfig:
             omega=float(ryd.get("omega", 0.01)),
             gamma=float(ryd.get("gamma", 0.03)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad rydberg parameters: {exc}") from exc
 
     cfg.custom = raw.get("custom")
@@ -122,7 +122,7 @@ def parse_config(path: str | Path) -> RunConfig:
         _expect(isinstance(pops, list) and pops, "populations list must be nonempty")
         try:
             cfg.populations = tuple(float(x) for x in pops)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"populations entries must be numbers: {exc}") from exc
 
     cfg.beta = _number(raw, "beta", 20.0)
@@ -147,7 +147,7 @@ def _number(raw: dict, key: str, default: float | None) -> float:
     value = raw.get(key, default)
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"key {key!r} must be a number, got {value!r}") from exc
     _expect(math.isfinite(number), f"key {key!r} must be a finite number, got {value!r}")
     return number
@@ -231,7 +231,7 @@ def _load_custom_model(raw: dict | None) -> ModelSpec:
     )
     try:
         rates = [float(g) for g in rates_raw]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"custom.rates entries must be numbers: {exc}") from exc
     _expect(
         all(math.isfinite(g) and g >= 0.0 for g in rates),
@@ -252,7 +252,7 @@ def _load_custom_model(raw: dict | None) -> ModelSpec:
             target_index=target_index,
             gamma_ref=gamma_ref,
         )
-    except (ValueError, qmat.ConvergenceError) as exc:
+    except ValueError as exc:
         if isinstance(exc, ModelError):
             raise
         raise ConfigError(f"cannot build custom model: {exc}") from exc
@@ -298,7 +298,7 @@ def resolve_permutations(
         return [(label, _permutation_for_label(label, lam, model)) for label in req]
     try:
         indices = [int(x) for x in req]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"permutation list must be labels or 1-based indices: {exc}") from exc
     _expect(sorted(indices) == list(range(1, lam.size + 1)),
             f"explicit permutation must be a bijection of 1..{lam.size}")
@@ -314,9 +314,12 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Comma-separated, %.12e floats, LF endings, trailing newline."""
+    """Comma-separated, %.12e floats, LF endings, trailing newline.
+
+    A row given as a string is a line already formatted and is written as is.
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -399,23 +402,26 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError(str(exc)) from exc
     mask = optimizer.pareto_mask(reports)
     gamma_ref = model.gamma_ref if model.gamma_ref is not None else float("nan")
-    rows = []
-    for k, (rep, pareto) in enumerate(zip(reports, mask), start=1):
-        rows.append(
-            (
-                k,
-                _perm_string(rep.permutation),
-                _arrangement_string(rep.arrangement),
-                rep.lambda_target,
-                rep.t_qsl,
-                rep.t_qsl * gamma_ref,
-                rep.t_qsl_2,
-                rep.heat,
-                rep.entropy,
-                rep.objective,
-                int(pareto),
+    # Every column but heat and objective_w depends on one input index:
+    # format those once per index and each row as one line.
+    slot = model.target_index - 1
+    index_s = [str(i + 1) for i in range(lam.size)]
+    pop_s = [_fmt(v) for v in reports[0].arrangement]  # the identity comes first
+    by_target = {}
+    for r in reports:
+        i = r.permutation[slot]
+        if i not in by_target:
+            by_target[i] = ",".join(
+                map(_fmt, (r.lambda_target, r.t_qsl, r.t_qsl * gamma_ref, r.t_qsl_2))
             )
-        )
+    entropy_s = _fmt(reports[0].entropy)
+    rows = (
+        f"{k},{'-'.join(map(index_s.__getitem__, r.permutation))},"
+        f"{';'.join(map(pop_s.__getitem__, r.permutation))},"
+        f"{by_target[r.permutation[slot]]},{r.heat:.12e},{entropy_s},"
+        f"{r.objective:.12e},{int(pareto)}"
+        for k, (r, pareto) in enumerate(zip(reports, mask.tolist()), start=1)
+    )
     path = _out_path(cfg, "sweep.csv")
     write_csv(
         path,
@@ -520,6 +526,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except qmat.ConvergenceError as exc:
+        print(f"config error: cannot build model: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationError as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)

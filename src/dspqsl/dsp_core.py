@@ -91,15 +91,17 @@ def verify_dsp_conditions(model, tol: float = 1e-10) -> DspConditionReport:
 def coefficient_a(model) -> float:
     """Speed coefficient ||sum_mu gamma_mu L_mu^dag rho_f L_mu||_F.
 
-    Independent of the initial state. A value of 0 (all rates vanish) makes
-    the evolution-time bounds undefined; `qsl_time` raises in that case.
+    Independent of the initial state. A value of 0 (all rates vanish) or
+    one that overflowed makes the evolution-time bounds undefined;
+    `qsl_time` raises in that case.
     """
     rho_f = model.target_projector
     acc = np.zeros((model.dim, model.dim), dtype=complex)
-    for g, l in zip(model.rates, model.jump_ops):
-        if g == 0.0:
-            continue
-        acc += g * (l.conj().T @ rho_f @ l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, l in zip(model.rates, model.jump_ops):
+            if g == 0.0:
+                continue
+            acc += g * (l.conj().T @ rho_f @ l)
     return qmat.frobenius_norm(acc)
 
 
@@ -107,8 +109,9 @@ def qsl_times_from_overlap(cos_theta0: float, a: float) -> tuple[float, float]:
     """Both evolution-time lower bounds from the initial overlap.
 
     Returns (sqrt(2 - 2 cos)/a, (1 - cos)/a). An overlap of 1 (already at
-    the target) gives (0, 0) regardless of `a`; the overlap is clamped to
-    [0, 1] and must not exceed it by more than 1e-9.
+    the target) gives (0, 0) regardless of `a`, which otherwise must be
+    positive and finite; the overlap is clamped to [0, 1] and must not
+    exceed it by more than 1e-9.
     """
     if cos_theta0 < -QSL_CHECK_SLACK or cos_theta0 > 1.0 + QSL_CHECK_SLACK:
         raise ValueError(f"overlap {cos_theta0} outside [0, 1]")
@@ -117,6 +120,8 @@ def qsl_times_from_overlap(cos_theta0: float, a: float) -> tuple[float, float]:
         return 0.0, 0.0
     if a <= 0.0:
         raise ValueError("QSL undefined (A = 0)")
+    if not np.isfinite(a):
+        raise ValueError(f"QSL undefined (A = {a})")
     return float(np.sqrt(2.0 - 2.0 * cos0) / a), float((1.0 - cos0) / a)
 
 

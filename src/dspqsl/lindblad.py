@@ -267,6 +267,7 @@ def _record_blocks(model: ModelSpec, stack: np.ndarray, t_end: float, step: floa
     if stack.ndim != 3 or stack.shape[1:] != (d, d) or not n_batch:
         raise ValueError(f"expected a nonempty (B, {d}, {d}) stack of states, got {stack.shape}")
     n_steps = check_grid(t_end, step, stride)
+    stride = min(stride, n_steps)  # a longer stride records the same two points
     n_records = -(-n_steps // stride) + 1
     rest = n_steps % stride
     # An unstable step overflows here and below; the finiteness check

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 
-from dspqsl import lindblad, qmat
+from dspqsl import dsp_core, lindblad, optimizer, qmat
 from dspqsl.lindblad import IntegrationError, ModelSpec
 
 
@@ -205,3 +206,44 @@ def rk4_reference(model: ModelSpec, rho0, t_end: float, step: float, stride: int
         if i % stride == 0 or i == n_steps:
             record(i, y)
     return np.array(times), np.array(states)
+
+
+def enumerate_permutations_reference(populations, model, g: float = optimizer.DEFAULT_HEAT_WEIGHT):
+    """Oracle for `optimizer.enumerate_permutations`: all n! index tuples in
+    lexicographic order, de-duplicated by arrangement through a dict (first
+    permutation kept) and scored one at a time."""
+    lam = dsp_core.as_populations(populations)
+    energies = model.eigensystem.eigenvalues
+    a = dsp_core.coefficient_a(model)
+    entropy = dsp_core.entropy_change(lam)
+    slot = model.target_index - 1
+    reports = {}
+    for perm in itertools.permutations(range(lam.size)):
+        arrangement = tuple(float(lam[i]) for i in perm)
+        if arrangement in reports:
+            continue
+        lam_target = arrangement[slot]
+        t_qsl, t_qsl_2 = dsp_core.qsl_times_from_overlap(lam_target, a)
+        heat = float(np.dot(arrangement, energies)) - model.target_energy
+        reports[arrangement] = optimizer.PermutationReport(
+            permutation=perm,
+            arrangement=arrangement,
+            lambda_target=lam_target,
+            t_qsl=t_qsl,
+            t_qsl_2=t_qsl_2,
+            heat=heat,
+            entropy=entropy,
+            objective=optimizer.objective_w(g, heat, lam_target),
+        )
+    return list(reports.values())
+
+
+def pareto_mask_reference(reports) -> np.ndarray:
+    """Oracle for `optimizer.pareto_mask`: the O(N^2) pairwise dominance test."""
+    t = np.array([r.t_qsl for r in reports])
+    q = np.array([r.heat for r in reports])
+    mask = np.ones(len(reports), dtype=bool)
+    for i in range(len(reports)):
+        dominated = (t <= t[i]) & (q <= q[i]) & ((t < t[i]) | (q < q[i]))
+        mask[i] = not bool(np.any(dominated))
+    return mask

@@ -1,12 +1,21 @@
 """Tests for the command-line surface: configs, CSV output, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dspqsl import cli, optimizer
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TWO_LEVEL_CUSTOM = {
     "dim": 2,
@@ -112,12 +121,16 @@ class TestMalformedConfigs:
                 "custom.jump_ops[0][0][1] must be a [re, im] pair",
             ),
             (custom(target=[[10**400, 0.0], [0.0, 0.0]]), [], "custom.target[0]"),
+            ({"populations": [10**400] + [0.0] * 5}, [], "populations entries"),
+            (custom(gamma_ref=10**400), [], "'gamma_ref'"),
+            ({"rydberg": {"omega": 10**400}}, [], "bad rydberg parameters"),
         ],
         ids=[
             "non-numeric-rate", "negative-rate", "infinite-step", "step-beyond-t_end",
             "cli-step-beyond-t_end", "infinite-t_end", "nan-beta", "boolean-stride",
             "too-many-records", "ragged-row", "three-element-pair", "string-entry",
             "wrong-row-count", "short-target", "malformed-jump-op", "overflowing-entry",
+            "overflowing-population", "overflowing-gamma_ref", "overflowing-rydberg-parameter",
         ],
     )
     def test_exit_2_with_a_one_line_message(self, tmp_path, capsys, overrides, argv, needle):
@@ -166,6 +179,17 @@ class TestModelInfo:
 
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         code = cli.main(["model-info", "--config", write_config(tmp_path, **custom())])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "did not converge" in err
+
+    def test_rydberg_eigensolver_failure_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        code = cli.main(["model-info", "--config", write_config(tmp_path, model="rydberg")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error:") and err.count("\n") == 1
@@ -226,6 +250,16 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", config, "--out", str(first)]) == 0
         assert cli.main(["simulate", "--config", config, "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_stride_beyond_the_grid_records_start_and_end(self, tmp_path):
+        # t_end 50 at the default step 0.05 is 1000 steps.
+        csvs = []
+        for stride in (1000, 10**400):
+            config = write_config(tmp_path, permutation="C", t_end=50.0, stride=stride)
+            csvs.append(tmp_path / f"stride{len(csvs)}.csv")
+            assert cli.main(["simulate", "--config", config, "--out", str(csvs[-1])]) == 0
+        assert len(read_rows(csvs[1])[1]) == 2
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
     def test_all_rejected_for_simulate(self, tmp_path, capsys):
         config = write_config(tmp_path, permutation="all")
@@ -312,6 +346,42 @@ class TestSweep:
         assert code == cli.EXIT_CONFIG
         assert "populations" in capsys.readouterr().err
 
+    def test_non_finite_speed_coefficient_is_a_config_error(self, tmp_path, capsys):
+        overflowing = [[[[0.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        config = write_config(tmp_path, **custom(jump_ops=overflowing), populations=[0.3, 0.7])
+        code = cli.main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "QSL undefined" in err
+
+    def test_dimension_10_refused_before_enumerating(self, tmp_path, capsys, monkeypatch):
+        def no_permutations(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(optimizer.itertools, "permutations", no_permutations)
+        jump = np.zeros((10, 10))
+        jump[0, 1] = 1.0
+
+        def pairs(m):
+            return np.stack([m, np.zeros_like(m)], axis=-1).tolist()
+
+        level_10 = {
+            "dim": 10,
+            "hamiltonian": pairs(np.diag(0.1 * np.arange(10))),
+            "jump_ops": [pairs(jump)],
+            "rates": [1.0],
+            "target": pairs(np.eye(10)[0]),
+        }
+        config = write_config(tmp_path, model="custom", custom=level_10, populations=[0.1] * 10)
+        out_path = tmp_path / "x.csv"
+        code = cli.main(["sweep", "--config", config, "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "3628800" in err
+        assert not out_path.exists()
+
 
 class TestOptimize:
     def test_demo_agreement(self, tmp_path, capsys):
@@ -354,3 +424,55 @@ class TestOptimize:
         code = cli.main(["optimize", "--config", write_config(tmp_path)])
         assert code == cli.EXIT_DISAGREEMENT
         assert "agreement: FALSE" in capsys.readouterr().out
+
+
+# Replacement values for config keys: wrong types, non-finite and oversized numbers.
+_BAD_VALUES = st.sampled_from(
+    [
+        None, True, False, "x", "", [], {}, [1.0, "a"], {"k": 1},
+        0, -1, 1, 2, 0.0, -0.5, 0.5, 1e-300, 1e300, -1e300, 2**63, 10**400,
+        math.nan, math.inf, -math.inf, [math.nan] * 6, [1e300] * 6, [0.0] * 6,
+    ]
+)
+
+
+def _key_paths(obj, prefix=()):
+    """Every dict-key and list-index path in a JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _key_paths(value, (*prefix, key))
+
+
+class TestFuzzedConfigs:
+    """Mutated shipped configs end with a documented exit code, never a traceback."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+    def test_documented_exit_code_and_no_traceback(self, data):
+        name = data.draw(st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))))
+        config = json.loads((CONFIGS / name).read_text())
+        # A short horizon keeps a run that is admitted cheap.
+        config["t_end"] = min(config.get("t_end", 5000.0), 40.0)
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = list(_key_paths(config))
+            if not paths:
+                break
+            *parents, key = data.draw(st.sampled_from(paths))
+            node = config
+            for part in parents:
+                node = node[part]
+            if data.draw(st.booleans()) and isinstance(node, dict):
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(data.draw(_BAD_VALUES))
+        command = data.draw(st.sampled_from(["model-info", "simulate", "sweep", "optimize"]))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dspqsl import dsp_core, optimizer
-from helpers import dark_state_model, random_distinct_simplex
+from helpers import (
+    dark_state_model,
+    enumerate_permutations_reference,
+    pareto_mask_reference,
+    random_distinct_simplex,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +85,64 @@ class TestEnumeratePermutations:
                 optimizer.DEFAULT_HEAT_WEIGHT, rep.heat, rep.lambda_target
             )
             assert abs(w - rep.objective) < 1e-15
+
+
+class TestAgainstReference:
+    """The array enumerator and the sort-and-scan front against the
+    dict-based enumerator and the pairwise front they replaced."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 7),
+        levels=st.integers(1, 7),
+    )
+    @settings(max_examples=60)
+    def test_same_reports_front_and_winner(self, data, n, levels):
+        # Energies on a coarse grid repeat (degenerate spectra); small
+        # integer weights repeat too (tied populations), zeros included.
+        grid = st.integers(0, levels - 1)
+        energies = np.sort(data.draw(st.lists(grid, min_size=n, max_size=n))) * 0.37 - 0.5
+        weights = data.draw(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
+        )
+        lam = np.array(weights, dtype=float) / sum(weights)
+        model = dark_state_model(energies, target_index=data.draw(st.integers(1, n)))
+
+        fast = optimizer.enumerate_permutations(lam, model)
+        slow = enumerate_permutations_reference(lam, model)
+        assert [r.permutation for r in fast] == [r.permutation for r in slow]
+        assert [r.arrangement for r in fast] == [r.arrangement for r in slow]
+        for f, s in zip(fast, slow):
+            assert (f.lambda_target, f.t_qsl, f.t_qsl_2) == (s.lambda_target, s.t_qsl, s.t_qsl_2)
+            assert abs(f.heat - s.heat) <= 1e-15 * (1.0 + np.abs(energies).max())
+        assert np.array_equal(optimizer.pareto_mask(fast), pareto_mask_reference(fast))
+        assert np.array_equal(optimizer.pareto_mask(slow), pareto_mask_reference(slow))
+        assert (
+            optimizer.lexicographic_select(fast).arrangement
+            == optimizer.lexicographic_select(slow).arrangement
+        )
+
+    @pytest.mark.parametrize(
+        "t, q",
+        [
+            ([], []),
+            ([1.0, 1.0, 1.0], [2.0, 2.0, 3.0]),
+            ([0.0, 1.0, 1.0, 2.0], [5.0, 4.0, 4.0, 4.0]),
+            ([3.0, 2.0, 1.0], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 2.0, 3.0], [1.0, -1.0, 0.0, -1.0]),
+            ([1.0, 2.0, 3.0], [math.inf, math.inf, 0.0]),
+        ],
+        ids=[
+            "empty", "identical-points-kept", "equal-heat-later-bound", "all-on-front",
+            "mixed", "infinite-heat",
+        ],
+    )
+    def test_pareto_mask_edge_cases(self, t, q):
+        reports = [
+            optimizer.PermutationReport((0,), (1.0,), 1.0, ti, 0.0, qi, 0.0, 0.0)
+            for ti, qi in zip(t, q)
+        ]
+        assert np.array_equal(optimizer.pareto_mask(reports), pareto_mask_reference(reports))
 
 
 class TestOptimalPermutation:
