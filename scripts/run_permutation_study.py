@@ -26,14 +26,6 @@ class StudyConfig:
     outdir: Path = Path("results/permutation_study")
 
 
-def named_arrangements(lam: np.ndarray, model) -> dict[str, np.ndarray]:
-    return {
-        "A": optimizer.apply_permutation(lam, optimizer.optimal_permutation(lam, model)),
-        "B": np.sort(lam),
-        "C": np.sort(lam)[::-1],
-    }
-
-
 def run(cfg: StudyConfig) -> None:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     model = rydberg.build_model(rydberg.RydbergParams(gamma=cfg.gamma))
@@ -46,7 +38,10 @@ def run(cfg: StudyConfig) -> None:
     )
     cmd_sweep(sweep_cfg)
 
-    arrangements = named_arrangements(lam, model)
+    arrangements = {
+        label: optimizer.apply_permutation(lam, optimizer.named_permutation(label, lam, model))
+        for label in "ABC"
+    }
     states = np.stack(
         [dsp_core.state_from_populations(model.eigensystem, a) for a in arrangements.values()]
     )

@@ -36,9 +36,8 @@ def run(cfg: StudyConfig) -> None:
     print(f"thermal populations (beta = {cfg.beta}): {np.round(lam, 6)}")
 
     arrangements = {
-        "A": optimizer.apply_permutation(lam, optimizer.optimal_permutation(lam, model)),
-        "B": np.sort(lam),
-        "C": np.sort(lam)[::-1],
+        label: optimizer.apply_permutation(lam, optimizer.named_permutation(label, lam, model))
+        for label in "ABC"
     }
     states = np.stack(
         [dsp_core.state_from_populations(model.eigensystem, a) for a in arrangements.values()]

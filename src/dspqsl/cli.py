@@ -38,8 +38,6 @@ EXIT_CONDITIONS = 5
 # Benchmark population multiset used by the bundled studies.
 DEMO_POPULATIONS = (0.2, 0.15, 0.1, 0.4, 0.08, 0.07)
 
-PERMUTATION_LABELS = ("A", "B", "C", "optimal", "passive", "all")
-
 
 class ConfigError(ValueError):
     """Unusable run configuration."""
@@ -65,14 +63,15 @@ def _expect(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def parse_config(path: str | Path) -> RunConfig:
+def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     """Load and validate a JSON run configuration.
 
     Keys: model ("rydberg"|"custom"), rydberg {omega2, omega, gamma},
     custom {dim, hamiltonian, jump_ops, rates, target, gamma_ref},
     populations ("demo"|"thermal"|list), beta, permutation (label, list of
     labels, or 1-based index list), t_end, step, stride, g, out.
-    Matrices use row-major [re, im] entry pairs.
+    Matrices use row-major [re, im] entry pairs. Keys in `overrides` (the
+    command-line options) replace the file's before validation.
     """
     try:
         text = Path(path).read_text()
@@ -85,6 +84,7 @@ def parse_config(path: str | Path) -> RunConfig:
             f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     _expect(isinstance(raw, dict), "config root must be a JSON object")
+    raw.update(overrides or {})
 
     known = {
         "model", "rydberg", "custom", "populations", "beta",
@@ -273,29 +273,20 @@ def resolve_populations(cfg: RunConfig, model: ModelSpec) -> np.ndarray:
     return lam / total
 
 
-def _permutation_for_label(label: str, lam: np.ndarray, model: ModelSpec):
-    if label in ("A", "optimal"):
-        return optimizer.optimal_permutation(lam, model)
-    if label == "B":
-        return tuple(int(i) for i in np.argsort(lam, kind="stable"))
-    if label in ("C", "passive"):
-        return optimizer.passive_permutation(lam)
-    raise ConfigError(f"unknown permutation label {label!r}")
-
-
 def resolve_permutations(
-    cfg: RunConfig, lam: np.ndarray, model: ModelSpec, allow_all: bool = False
+    cfg: RunConfig, lam: np.ndarray, model: ModelSpec
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Labelled permutations requested by the config."""
     req = cfg.permutation
     if isinstance(req, str):
-        if req == "all":
-            _expect(allow_all, "permutation 'all' only applies to the sweep command")
-            return []
-        return [(req, _permutation_for_label(req, lam, model))]
+        _expect(req != "all", "permutation 'all' only applies to the sweep command")
+        req = [req]
     _expect(isinstance(req, list) and req, "permutation must be a label or a nonempty list")
     if all(isinstance(x, str) for x in req):
-        return [(label, _permutation_for_label(label, lam, model)) for label in req]
+        try:
+            return [(label, optimizer.named_permutation(label, lam, model)) for label in req]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     try:
         indices = [int(x) for x in req]
     except (TypeError, ValueError, OverflowError) as exc:
@@ -513,17 +504,13 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {
+        key: value
+        for key in ("out", "step", "t_end")
+        if (value := getattr(args, key)) is not None
+    }
     try:
-        cfg = parse_config(args.config)
-        if args.out is not None:
-            cfg.out = args.out
-        if args.step is not None:
-            _expect(math.isfinite(args.step) and args.step > 0, "step must be positive and finite")
-            cfg.step = args.step
-        if args.t_end is not None:
-            _expect(math.isfinite(args.t_end) and args.t_end > 0, "t_end must be positive and finite")
-            cfg.t_end = args.t_end
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](parse_config(args.config, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,8 +1,8 @@
 """Scalar functionals of the preparation process.
 
 Covers the dark-state conditions, the speed coefficient, both evolution-time
-lower bounds, dissipated heat, entropy change, the fidelity/angle map, the
-population/coherence split, and the trajectory-level bound check.
+lower bounds with their per-record margins, dissipated heat and entropy
+change.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from .qmat import EigenSystem
 
 __all__ = [
     "DspConditionReport",
-    "QslCheckReport",
     "QslReport",
-    "angle_from_fidelity",
     "as_populations",
     "coefficient_a",
     "dissipated_heat",
@@ -26,9 +24,7 @@ __all__ = [
     "qsl_margins",
     "qsl_time",
     "qsl_times_from_overlap",
-    "split_state",
     "state_from_populations",
-    "trajectory_qsl_check",
     "verify_dsp_conditions",
 ]
 
@@ -42,15 +38,15 @@ AT_TARGET_TOL = 1e-12
 QSL_CHECK_SLACK = 1e-9
 
 
-def as_populations(values, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def as_populations(values) -> np.ndarray:
     """Validate a probability vector over the ordered eigenbasis."""
     lam = np.asarray(values, dtype=float).reshape(-1)
     if lam.size == 0 or not np.all(np.isfinite(lam)):
         raise ValueError("populations must be a nonempty finite vector")
-    if np.any(lam < -tol):
+    if np.any(lam < -SIMPLEX_TOL):
         raise ValueError(f"negative population {lam.min():.3e}")
     total = float(lam.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > SIMPLEX_TOL:
         raise ValueError(f"populations sum to {total!r}, not 1")
     return np.clip(lam, 0.0, None)
 
@@ -158,24 +154,6 @@ def entropy_change(populations) -> float:
     return float(-terms.sum())
 
 
-def angle_from_fidelity(f: float) -> float:
-    """Angle arccos(F) in [0, pi/2] for a fidelity in [0, 1]."""
-    if f < -1e-9 or f > 1.0 + 1e-9:
-        raise ValueError(f"fidelity {f} outside [0, 1]")
-    return float(np.arccos(min(max(f, 0.0), 1.0)))
-
-
-def split_state(rho, basis: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Populations and the off-diagonal remainder in the given eigenbasis.
-
-    Reassemble with basis.from_eigenbasis(diag(populations) + coherences).
-    """
-    in_basis = basis.to_eigenbasis(rho)
-    populations = np.real(np.diag(in_basis)).copy()
-    coherences = in_basis - np.diag(np.diag(in_basis))
-    return populations, coherences
-
-
 def state_from_populations(basis: EigenSystem, populations) -> np.ndarray:
     """Density matrix diagonal in the eigenbasis with the given populations."""
     lam = as_populations(populations)
@@ -195,27 +173,3 @@ def qsl_margins(times, fidelities, a: float) -> np.ndarray:
     f = np.asarray(fidelities, dtype=float)
     dist = np.sqrt(np.maximum(2.0 - 2.0 * f, 0.0))
     return a * t - (dist[..., :1] - dist)
-
-
-@dataclass(frozen=True)
-class QslCheckReport:
-    """Worst-case slack of the integrated bound over a trajectory."""
-
-    worst_margin: float
-    slack: float
-
-    @property
-    def passes(self) -> bool:
-        return self.worst_margin >= -self.slack
-
-    @property
-    def max_violation(self) -> float:
-        return max(0.0, -self.worst_margin)
-
-
-def trajectory_qsl_check(trajectory, a: float) -> QslCheckReport:
-    """Check the integrated speed-limit inequality at every record."""
-    margins = qsl_margins(trajectory.times, trajectory.fidelities, a)
-    if margins.size == 0:
-        raise ValueError("empty trajectory")
-    return QslCheckReport(worst_margin=float(margins.min()), slack=QSL_CHECK_SLACK)

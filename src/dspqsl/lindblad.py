@@ -26,7 +26,6 @@ __all__ = [
     "ModelSpec",
     "Trajectory",
     "check_grid",
-    "coherence_decoupling_diagnostic",
     "default_step",
     "evolve",
     "evolve_batch",
@@ -38,6 +37,9 @@ __all__ = [
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
+
+# Largest |1 - |<E_{n*}|target>|^2| a model may have and still prepare its target.
+TARGET_ALIGNMENT_TOL = 1e-10
 
 # Fidelity may poke past [0, 1] by at most this much before aborting.
 FIDELITY_SLACK = 1e-9
@@ -124,9 +126,9 @@ class ModelSpec:
         overlap = self.eigensystem.vector(self.target_index).conj() @ self.target
         return abs(1.0 - abs(overlap) ** 2)
 
-    def check_target_alignment(self, tol: float = 1e-10) -> None:
+    def check_target_alignment(self) -> None:
         defect = self.target_alignment_defect()
-        if defect > tol:
+        if defect > TARGET_ALIGNMENT_TOL:
             raise ModelError(
                 f"target is not the eigenvector at slot {self.target_index} "
                 f"(overlap defect {defect:.3e})"
@@ -400,25 +402,3 @@ def evolve_batch(
         min_eigenvalue=min_eig,
         final_states=block_states[-1].copy(),
     )
-
-
-def coherence_decoupling_diagnostic(
-    model: ModelSpec,
-    rho0,
-    t_end: float,
-    step: float | None = None,
-    stride: int = DEFAULT_STRIDE,
-) -> float:
-    """Largest eigenbasis off-diagonal magnitude seen along a trajectory.
-
-    The initial state must be diagonal in the model eigenbasis; the returned
-    supremum measures how strongly populations couple back into coherences
-    for this particular model (zero for fully classical generators).
-    """
-    r0 = qmat.as_complex_matrix(rho0)
-    in_basis = model.eigensystem.to_eigenbasis(r0)
-    off = in_basis - np.diag(np.diag(in_basis))
-    if np.max(np.abs(off)) > 1e-10:
-        raise ValueError("initial state is not diagonal in the model eigenbasis")
-    traj = evolve(model, rho0, t_end, step=step, stride=stride)
-    return float(np.max(traj.coherence_maxes))

@@ -24,6 +24,7 @@ __all__ = [
     "apply_permutation",
     "enumerate_permutations",
     "lexicographic_select",
+    "named_permutation",
     "objective_w",
     "optimal_permutation",
     "pareto_front",
@@ -168,6 +169,19 @@ def passive_permutation(populations) -> Permutation:
     """All populations decreasing against increasing energy (minimal heat)."""
     lam = dsp_core.as_populations(populations)
     return tuple(int(i) for i in np.argsort(-lam, kind="stable"))
+
+
+def named_permutation(label: str, populations, model) -> Permutation:
+    """Permutation of a named arrangement: `A`/`optimal` (the analytic
+    optimum), `B` (all populations ascending) or `C`/`passive`."""
+    if label in ("A", "optimal"):
+        return optimal_permutation(populations, model)
+    if label == "B":
+        lam = dsp_core.as_populations(populations)
+        return tuple(int(i) for i in np.argsort(lam, kind="stable"))
+    if label in ("C", "passive"):
+        return passive_permutation(populations)
+    raise ValueError(f"unknown permutation label {label!r}")
 
 
 def lexicographic_select(reports: list[PermutationReport]) -> PermutationReport:

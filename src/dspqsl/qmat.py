@@ -33,6 +33,9 @@ HERMITICITY_RTOL = 1e-12
 # degenerate cluster.
 DEGENERACY_GAP = 1e-9
 
+# Norm below which a vector counts as zero and cannot be normalized.
+KET_NORM_FLOOR = 1e-12
+
 # Relative magnitude within which two components of an eigenvector count
 # as tied for the phase convention.
 PHASE_TIE_RTOL = 1e-9
@@ -52,13 +55,13 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def as_ket(v, norm_floor: float = 1e-12) -> np.ndarray:
+def as_ket(v) -> np.ndarray:
     """Coerce to an explicitly normalized complex state vector."""
     k = np.asarray(v, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(k)):
         raise ValueError("ket amplitudes must be finite")
     norm = float(np.linalg.norm(k))
-    if norm < norm_floor:
+    if norm < KET_NORM_FLOOR:
         raise ValueError("cannot normalize a (near-)zero vector")
     return k / norm
 
@@ -195,7 +198,7 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
 
     One `np.linalg.eigh` call on the Hermitized matrix gives ascending
     eigenvalues and orthonormal eigenvector columns. Degenerate clusters
-    (gap < 1e-9) share their mean eigenvalue and are re-orthonormalized.
+    (gap < 1e-9) share their mean eigenvalue.
     When `target` is given, the cluster holding most of the target is
     rotated so that a single basis vector carries its full projection and
     sits at the 1-based `target_index` if that slot falls inside the
@@ -222,11 +225,10 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
 
     # A degenerate cluster is one level. Its roundoff-split eigenvalues get
     # their mean, so ties downstream (equal Gibbs weights, say) do not hang
-    # on the solver's roundoff; its vectors are re-orthonormalized.
+    # on the solver's roundoff.
     clusters = _degenerate_clusters(vals, DEGENERACY_GAP)
     for lo, hi in clusters:
         vals[lo:hi] = vals[lo:hi].mean()
-        vecs[:, lo:hi] = np.linalg.qr(vecs[:, lo:hi])[0]
 
     aligned_slot = None
     if target is not None:

@@ -124,6 +124,8 @@ class TestMalformedConfigs:
             ({"populations": [10**400] + [0.0] * 5}, [], "populations entries"),
             (custom(gamma_ref=10**400), [], "'gamma_ref'"),
             ({"rydberg": {"omega": 10**400}}, [], "bad rydberg parameters"),
+            ({}, ["--step", "-1"], "step must be positive"),
+            ({}, ["--t-end", "inf"], "'t_end'"),
         ],
         ids=[
             "non-numeric-rate", "negative-rate", "infinite-step", "step-beyond-t_end",
@@ -131,6 +133,7 @@ class TestMalformedConfigs:
             "too-many-records", "ragged-row", "three-element-pair", "string-entry",
             "wrong-row-count", "short-target", "malformed-jump-op", "overflowing-entry",
             "overflowing-population", "overflowing-gamma_ref", "overflowing-rydberg-parameter",
+            "cli-negative-step", "cli-infinite-t_end",
         ],
     )
     def test_exit_2_with_a_one_line_message(self, tmp_path, capsys, overrides, argv, needle):
@@ -339,12 +342,12 @@ class TestSweep:
             ):
                 assert abs(parsed - recomputed) < 1e-12 * max(1.0, abs(recomputed))
 
-    def test_factorial_guard_maps_to_config_error(self, tmp_path, capsys):
+    def test_population_count_mismatch_is_a_config_error(self, tmp_path, capsys):
         lam = [1.0 / 11] * 11
         config = write_config(tmp_path, populations=lam)
         code = cli.main(["sweep", "--config", config, "--out", str(tmp_path / "x.csv")])
         assert code == cli.EXIT_CONFIG
-        assert "populations" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: expected 6 populations, got 11\n"
 
     def test_non_finite_speed_coefficient_is_a_config_error(self, tmp_path, capsys):
         overflowing = [[[[0.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -182,81 +181,51 @@ class TestEntropyChange:
         assert dsp_core.entropy_change(demo_pops) >= 0.0
 
 
-class TestAngleFromFidelity:
-    def test_endpoints(self):
-        assert dsp_core.angle_from_fidelity(1.0) == 0.0
-        assert abs(dsp_core.angle_from_fidelity(0.0) - math.pi / 2) < 1e-15
-
-    def test_interior_value(self):
-        assert abs(dsp_core.angle_from_fidelity(0.4) - math.acos(0.4)) < 1e-15
-
-    def test_clamps_roundoff(self):
-        assert dsp_core.angle_from_fidelity(1.0 + 5e-10) == 0.0
-        assert abs(dsp_core.angle_from_fidelity(-5e-10) - math.pi / 2) < 1e-12
-
-    @pytest.mark.parametrize("bad", [1.1, -0.1])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError, match="outside"):
-            dsp_core.angle_from_fidelity(bad)
-
-
 class TestSplitState:
+    """Populations and coherences are the diagonal and the off-diagonal part
+    of a state in the eigenbasis (`EigenSystem.to_eigenbasis`)."""
+
     def test_diagonal_state_has_no_coherences(self, model, demo_state, demo_pops):
-        pops, coh = dsp_core.split_state(demo_state, model.eigensystem)
-        assert np.max(np.abs(coh)) < 1e-14
-        assert np.max(np.abs(pops - demo_pops)) < 1e-14
+        in_basis = model.eigensystem.to_eigenbasis(demo_state)
+        assert np.max(np.abs(in_basis - np.diag(np.diag(in_basis)))) < 1e-14
+        assert np.max(np.abs(np.real(np.diag(in_basis)) - demo_pops)) < 1e-14
 
     def test_balanced_superposition(self):
         basis = qmat.hermitian_eigensystem(np.diag([0.0, 1.0]))
         plus = qmat.as_ket([1.0, 1.0])
-        pops, coh = dsp_core.split_state(np.outer(plus, plus.conj()), basis)
-        assert np.allclose(pops, [0.5, 0.5], atol=1e-14)
-        assert abs(abs(coh[0, 1]) - 0.5) < 1e-14
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_reassembly_identity(self, seed):
-        model = rydberg.build_model()
-        rng = np.random.default_rng(seed)
-        rho = random_density(rng, 6)
-        pops, coh = dsp_core.split_state(rho, model.eigensystem)
-        rebuilt = model.eigensystem.from_eigenbasis(np.diag(pops.astype(complex)) + coh)
-        assert qmat.frobenius_norm(rebuilt - rho) < 1e-12
+        in_basis = basis.to_eigenbasis(np.outer(plus, plus.conj()))
+        assert np.allclose(np.real(np.diag(in_basis)), [0.5, 0.5], atol=1e-14)
+        assert abs(abs(in_basis[0, 1]) - 0.5) < 1e-14
 
     def test_diagonal_overlap_equals_target_population(self, model, demo_pops):
         rng = np.random.default_rng(5)
+        slot = model.target_index - 1
         for _ in range(10):
             lam = rng.permutation(demo_pops)
             rho = dsp_core.state_from_populations(model.eigensystem, lam)
             cos0 = float(np.real(qmat.trace_product(rho, model.target_projector)))
-            pops, _ = dsp_core.split_state(rho, model.eigensystem)
-            assert abs(cos0 - pops[model.target_index - 1]) < 1e-12
+            target_population = model.eigensystem.to_eigenbasis(rho)[slot, slot].real
+            assert abs(cos0 - target_population) < 1e-12
 
 
 class TestTrajectoryQslCheck:
+    """The integrated bound holds at every record: the least of
+    `qsl_margins` stays above -QSL_CHECK_SLACK."""
+
     def test_trivial_at_fixed_point(self, model):
         traj = lindblad.evolve(model, model.target_projector, t_end=50.0)
-        report = dsp_core.trajectory_qsl_check(traj, dsp_core.coefficient_a(model))
-        assert report.passes
-        assert report.max_violation == 0.0
+        margins = dsp_core.qsl_margins(traj.times, traj.fidelities, dsp_core.coefficient_a(model))
+        assert margins.min() >= 0.0
 
     def test_demo_trajectory_passes(self, model, demo_state):
         traj = lindblad.evolve(model, demo_state, t_end=500.0)
-        report = dsp_core.trajectory_qsl_check(traj, dsp_core.coefficient_a(model))
-        assert report.passes
+        margins = dsp_core.qsl_margins(traj.times, traj.fidelities, dsp_core.coefficient_a(model))
+        assert margins.min() >= -dsp_core.QSL_CHECK_SLACK
 
     def test_detects_impossible_speed(self):
-        fake = types.SimpleNamespace(
-            times=np.array([0.0, 1.0]), fidelities=np.array([0.0, 1.0])
-        )
-        report = dsp_core.trajectory_qsl_check(fake, a=0.01)
-        assert not report.passes
-        assert report.max_violation > 1.0
-
-    def test_empty_rejected(self):
-        fake = types.SimpleNamespace(times=np.array([]), fidelities=np.array([]))
-        with pytest.raises(ValueError, match="empty"):
-            dsp_core.trajectory_qsl_check(fake, a=1.0)
+        margins = dsp_core.qsl_margins(np.array([0.0, 1.0]), np.array([0.0, 1.0]), a=0.01)
+        assert margins.min() < -dsp_core.QSL_CHECK_SLACK
+        assert -margins.min() > 1.0
 
 
 class TestPopulations:
