@@ -308,10 +308,13 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Comma-separated, %.12e floats, LF endings, trailing newline.
 
     A row given as a string is a line already formatted and is written as is.
+    Rows are streamed to the file, so a generator is never held in memory.
     """
-    lines = [",".join(header)]
-    lines.extend(row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            (row if isinstance(row, str) else ",".join(map(_fmt, row))) + "\n" for row in rows
+        )
 
 
 def _out_path(cfg: RunConfig, default: str) -> Path:

@@ -73,10 +73,8 @@ def verify_dsp_conditions(model, tol: float = 1e-10) -> DspConditionReport:
     """
     phi = model.target
     energy = model.target_energy
-    eigen_residual = float(np.linalg.norm(model.h_s @ phi - energy * phi))
-    jump_residuals = tuple(
-        float(np.linalg.norm(l @ phi)) for l in model.jump_ops
-    )
+    eigen_residual = qmat.frobenius_norm(model.h_s @ phi - energy * phi)
+    jump_residuals = tuple(qmat.frobenius_norm(l @ phi) for l in model.jump_ops)
     return DspConditionReport(
         eigen_residual=eigen_residual,
         jump_residuals=jump_residuals,
@@ -159,7 +157,8 @@ def state_from_populations(basis: EigenSystem, populations) -> np.ndarray:
     lam = as_populations(populations)
     if lam.size != basis.dim:
         raise ValueError("population count does not match the basis dimension")
-    return basis.from_eigenbasis(np.diag(lam.astype(complex)))
+    # V diag(lam) V^dag, with the diagonal product done as a column scaling.
+    return (basis.vectors * lam) @ basis.vectors.conj().T
 
 
 def qsl_margins(times, fidelities, a: float) -> np.ndarray:

@@ -4,8 +4,10 @@ States evolve under rho' = -i[H, rho] + sum_mu gamma_mu D[L_mu] rho with
 D[L] rho = L rho L^dag - {L^dag L, rho}/2. The generator is linear and
 time independent, so an RK4 step is a fixed matrix P on vectorized states
 and each record is one product with P^stride. `evolve` (one state) and
-`evolve_batch` (a stack) share that stepper. `lindblad_rhs` is the direct,
-readable form of the generator and the two are tested against each other.
+`evolve_batch` (a stack) share that stepper; a stack diagonal in the
+eigenbasis is stepped as its d eigenprojectors and recombined by linearity.
+`lindblad_rhs` is the direct, readable form of the generator and the two
+are tested against each other.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ MAX_RECORDS = 200_000
 
 # States propagated and diagnosed together in one record block.
 _BLOCK_STATES = 1024
+
+# Largest eigenbasis entry by which a stack may miss nonnegative diagonal
+# matrices and still be integrated by superposition in `evolve_batch`.
+SUPERPOSITION_TOL = 1e-12
+
+_NON_FINITE = "state became non-finite"
 
 
 class ModelError(ValueError):
@@ -295,7 +303,7 @@ def _record_blocks(model: ModelSpec, stack: np.ndarray, t_end: float, step: floa
             yield times[:n_ok], states, [x.reshape(n_ok, n_batch) for x in diagnostics]
         if n_ok < m:
             index = None if n_batch == 1 else int(np.argmin(finite[n_ok]))
-            raise IntegrationError("state became non-finite", float(times[n_ok]), index)
+            raise IntegrationError(_NON_FINITE, float(times[n_ok]), index)
 
 
 def evolve(
@@ -350,7 +358,13 @@ def evolve(
 
 @dataclass
 class BatchEvolution:
-    """Summaries of many trajectories integrated side by side."""
+    """Summaries of many trajectories integrated side by side.
+
+    For a stack diagonal in the eigenbasis with nonnegative weights (see
+    `evolve_batch`), `fidelities`, `max_trace_dev` and `final_states` are
+    exact, `max_herm_defect` is an upper bound and `min_eigenvalue` a lower
+    bound on the extrema of the stacked trajectories; otherwise all are exact.
+    """
 
     times: np.ndarray            # (R,)
     fidelities: np.ndarray       # (B, R)
@@ -362,6 +376,31 @@ class BatchEvolution:
     @property
     def final_fidelities(self) -> np.ndarray:
         return self.fidelities[:, -1]
+
+
+def _eigenbasis_weights(model: ModelSpec, stack: np.ndarray) -> np.ndarray | None:
+    """Weights W (B, d) with stack[b] = V diag(W[b]) V^dag, V the model's
+    eigenvectors, or None unless every entry of V^dag stack[b] V is finite
+    and within SUPERPOSITION_TOL of a diagonal with nonnegative real part.
+
+    Roundoff in the rotation turns a zero population into about -1e-18, so
+    a weight within the tolerance below zero counts as zero.
+    """
+    d = model.dim
+    if stack.ndim != 3 or stack.shape[1:] != (d, d) or not np.isfinite(stack).all():
+        return None
+    vecs = model.eigensystem.vectors
+    with np.errstate(over="ignore", invalid="ignore"):
+        rotated = vecs.conj().T @ stack @ vecs
+    diag = np.diagonal(rotated, axis1=1, axis2=2)
+    diagonal = (
+        np.isfinite(rotated).all()
+        and np.abs(rotated[:, ~np.eye(d, dtype=bool)]).max(initial=0.0) <= SUPERPOSITION_TOL
+        and np.abs(diag.imag).max(initial=0.0) <= SUPERPOSITION_TOL
+        and diag.real.min(initial=0.0) >= -SUPERPOSITION_TOL
+    )
+    weights = np.maximum(diag.real, 0.0)
+    return weights if diagonal and weights.any() else None
 
 
 def evolve_batch(
@@ -377,28 +416,67 @@ def evolve_batch(
     per-record fidelities and running conservation extrema per state.
     Aborts only on a non-finite state, naming its trajectory index;
     threshold checks are the caller's.
+
+    A stack diagonal in the model's eigenbasis, rho_b = sum_k w_bk |k><k|
+    with w >= 0 (see `_eigenbasis_weights`), is integrated by linearity:
+    only the eigenprojectors |k><k| that carry weight are stepped, and
+    every field is read from their records through W. Fidelities, trace
+    deviations and final states are exact by linearity; the Hermiticity
+    defect is bounded above by W @ defect_k (triangle inequality) and the
+    lowest eigenvalue below by W @ lambda_min_k (Weyl's inequality), record
+    by record, before the extrema over records are taken. These statements
+    hold for V diag(W) V^dag, which differs from the stack by at most
+    SUPERPOSITION_TOL per eigenbasis entry, and up to roundoff: the direct
+    and the superposed values round differently. Any other stack is stepped
+    state by state and all its fields are exact.
     """
     stack = np.asarray(states, dtype=complex)
     if step is None:
         step = default_step(model)
     n_batch = len(stack)
+    weights = _eigenbasis_weights(model, stack)
+    if weights is None:
+        runs = stack
+    else:
+        used = weights.any(axis=0)
+        weights = weights[:, used]
+        vecs = model.eigensystem.vectors[:, used]
+        runs = np.einsum("ik,jk->kij", vecs, vecs.conj())
+        weight_excess = weights.sum(axis=1) - 1.0
     times, fids = [], []
     max_trace = np.zeros(n_batch)
     max_herm = np.zeros(n_batch)
     min_eig = np.full(n_batch, np.inf)
-    blocks = _record_blocks(model, stack, t_end, step, stride)
-    for block_times, block_states, (trace_dev, herm, eig_lo, fid) in blocks:
-        times.append(block_times)
-        fids.append(fid)
-        np.maximum(max_trace, trace_dev.max(axis=0), out=max_trace)
-        np.maximum(max_herm, herm.max(axis=0), out=max_herm)
-        np.minimum(min_eig, eig_lo.min(axis=0), out=min_eig)
+    try:
+        for block_times, block_states, (trace_dev, herm, eig_lo, fid) in _record_blocks(
+            model, runs, t_end, step, stride
+        ):
+            if weights is not None:
+                # Signed traces, so that the deviation is exact.
+                traces = np.einsum("rkii->rk", block_states) - 1.0
+                trace_dev = np.abs(traces @ weights.T + weight_excess)
+                herm, eig_lo, fid = herm @ weights.T, eig_lo @ weights.T, fid @ weights.T
+            times.append(block_times)
+            fids.append(fid)
+            np.maximum(max_trace, trace_dev.max(axis=0), out=max_trace)
+            np.maximum(max_herm, herm.max(axis=0), out=max_herm)
+            np.minimum(min_eig, eig_lo.min(axis=0), out=min_eig)
+    except IntegrationError as err:
+        if weights is None:
+            raise
+        # Name the first stacked trajectory that holds the offending projector.
+        offending = 0 if err.index is None else err.index
+        index = None if n_batch == 1 else int(np.argmax(weights[:, offending] > 0.0))
+        raise IntegrationError(_NON_FINITE, err.time, index) from None
 
+    final_states = block_states[-1].copy()
+    if weights is not None:
+        final_states = np.tensordot(weights, final_states, 1)
     return BatchEvolution(
         times=np.concatenate(times),
         fidelities=np.ascontiguousarray(np.concatenate(fids).T),
         max_trace_dev=max_trace,
         max_herm_defect=max_herm,
         min_eigenvalue=min_eig,
-        final_states=block_states[-1].copy(),
+        final_states=final_states,
     )

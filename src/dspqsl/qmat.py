@@ -60,21 +60,31 @@ def as_ket(v) -> np.ndarray:
     k = np.asarray(v, dtype=complex).reshape(-1)
     if not np.all(np.isfinite(k)):
         raise ValueError("ket amplitudes must be finite")
-    norm = float(np.linalg.norm(k))
+    norm = frobenius_norm(k)
     if norm < KET_NORM_FLOOR:
         raise ValueError("cannot normalize a (near-)zero vector")
     return k / norm
 
 
 def frobenius_norm(m) -> float:
-    """Frobenius norm sqrt(Tr(M^dag M))."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex)))
+    """Frobenius norm sqrt(Tr(M^dag M)); the 2-norm of a vector.
+
+    Finite entries whose squares overflow are scaled by the largest modulus
+    first, so the norm is infinite only when it exceeds the float range.
+    """
+    a = np.asarray(m, dtype=complex)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not np.isfinite(norm) and np.isfinite(a).all():
+        scale = float(np.abs(a).max())
+        norm = scale * float(np.linalg.norm(a / scale))
+    return norm
 
 
 def hermiticity_defect(m) -> float:
     """Frobenius norm of M - M^dag."""
     a = np.asarray(m, dtype=complex)
-    return float(np.linalg.norm(a - a.conj().T))
+    return frobenius_norm(a - a.conj().T)
 
 
 def trace_product(a, b) -> complex:
@@ -110,10 +120,6 @@ class EigenSystem:
     def to_eigenbasis(self, m) -> np.ndarray:
         """Represent an operator in this eigenbasis: V^dag M V."""
         return self.vectors.conj().T @ as_complex_matrix(m) @ self.vectors
-
-    def from_eigenbasis(self, m) -> np.ndarray:
-        """Map an eigenbasis representation back: V M V^dag."""
-        return self.vectors @ as_complex_matrix(m) @ self.vectors.conj().T
 
 
 def _degenerate_clusters(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
@@ -248,13 +254,11 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
 def _check_eigensystem(m: np.ndarray, system: EigenSystem) -> None:
     scale = max(1.0, frobenius_norm(m))
     unitarity = system.vectors.conj().T @ system.vectors - np.eye(system.dim)
-    if np.linalg.norm(unitarity) > 1e-10 * scale:
+    if frobenius_norm(unitarity) > 1e-10 * scale:
         raise ConvergenceError("eigenvector matrix lost orthonormality")
-    residual = m @ system.vectors - system.vectors * system.eigenvalues
-    if np.linalg.norm(residual) > 1e-9 * scale:
-        raise ConvergenceError(
-            f"eigenpair residual {np.linalg.norm(residual):.3e} too large"
-        )
+    residual = frobenius_norm(m @ system.vectors - system.vectors * system.eigenvalues)
+    if residual > 1e-9 * scale:
+        raise ConvergenceError(f"eigenpair residual {residual:.3e} too large")
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,35 @@ def rk4_reference(model: ModelSpec, rho0, t_end: float, step: float, stride: int
     return np.array(times), np.array(states)
 
 
+def evolve_batch_direct(model: ModelSpec, states, t_end: float, step: float | None = None,
+                        stride: int = lindblad.DEFAULT_STRIDE) -> lindblad.BatchEvolution:
+    """Oracle for `lindblad.evolve_batch`: every stacked state stepped and
+    diagnosed on its own, running extrema over the exact per-record values."""
+    stack = np.asarray(states, dtype=complex)
+    if step is None:
+        step = lindblad.default_step(model)
+    n_batch = len(stack)
+    times, fids = [], []
+    max_trace = np.zeros(n_batch)
+    max_herm = np.zeros(n_batch)
+    min_eig = np.full(n_batch, np.inf)
+    blocks = lindblad._record_blocks(model, stack, t_end, step, stride)
+    for block_times, block_states, (trace_dev, herm, eig_lo, fid) in blocks:
+        times.append(block_times)
+        fids.append(fid)
+        np.maximum(max_trace, trace_dev.max(axis=0), out=max_trace)
+        np.maximum(max_herm, herm.max(axis=0), out=max_herm)
+        np.minimum(min_eig, eig_lo.min(axis=0), out=min_eig)
+    return lindblad.BatchEvolution(
+        times=np.concatenate(times),
+        fidelities=np.ascontiguousarray(np.concatenate(fids).T),
+        max_trace_dev=max_trace,
+        max_herm_defect=max_herm,
+        min_eigenvalue=min_eig,
+        final_states=block_states[-1].copy(),
+    )
+
+
 def enumerate_permutations_reference(populations, model, g: float = optimizer.DEFAULT_HEAT_WEIGHT):
     """Oracle for `optimizer.enumerate_permutations`: all n! index tuples in
     lexicographic order, de-duplicated by arrangement through a dict (first

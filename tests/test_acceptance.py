@@ -3,7 +3,7 @@
 Each test prints one `criterion N (<name>): PASS|FAIL` line; run with
 `pytest tests/test_acceptance.py -v -s` to watch them. The trajectory
 criteria integrate all 720 demo arrangements to t = 5000 (plus halved-step
-reruns), so this module takes a few minutes single-threaded.
+reruns), as the superposition of the six eigenprojector trajectories.
 """
 
 import math

@@ -155,6 +155,21 @@ class TestModelInfo:
         assert f"{math.sqrt(2) * 0.03 / 4:.12e}" in out
         assert "dark-state conditions: pass" in out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "fields, code",
+        [
+            ({"hamiltonian": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, 5),
+            ({"hamiltonian": [[[-1.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, 2),
+            ({"target": [[1e300, 0.0], [0.0, 0.0]]}, 0),
+        ],
+        ids=["diagonal", "off-diagonal", "target"],
+    )
+    def test_entries_near_1e300_give_no_numpy_warning(self, tmp_path, capsys, fields, code):
+        config = write_config(tmp_path, **custom(**fields))
+        assert cli.main(["model-info", "--config", config]) == code
+        assert "Warning" not in capsys.readouterr().err
+
     def test_report_written_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "info.txt"
         code = cli.main(
@@ -205,6 +220,22 @@ class TestModelInfo:
         out = capsys.readouterr().out
         assert code == cli.EXIT_CONDITIONS
         assert "FAIL" in out
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n_rows", [0, 5])
+    def test_streamed_bytes_equal_the_joined_text(self, tmp_path, n_rows):
+        header = ["id", "label", "value"]
+
+        def rows():
+            for k in range(n_rows):
+                yield f"{k},preformatted,{k / 3:.12e}" if k % 2 else (np.int64(k), "tuple", k / 7)
+
+        lines = [",".join(header)]
+        lines.extend(r if isinstance(r, str) else ",".join(map(cli._fmt, r)) for r in rows())
+        (tmp_path / "joined.csv").write_text("\n".join(lines) + "\n")
+        cli.write_csv(tmp_path / "streamed.csv", header, rows())
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
 
 
 class TestSimulate:
@@ -447,8 +478,10 @@ def _key_paths(obj, prefix=()):
         yield from _key_paths(value, (*prefix, key))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFuzzedConfigs:
-    """Mutated shipped configs end with a documented exit code, never a traceback."""
+    """Mutated shipped configs end with a documented exit code, never a
+    traceback and never a numpy warning next to the output."""
 
     @given(data=st.data())
     @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])

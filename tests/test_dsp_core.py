@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dspqsl import dsp_core, lindblad, qmat, rydberg
-from helpers import random_density
+from dspqsl import dsp_core, lindblad, optimizer, qmat, rydberg
+from helpers import dark_state_model, random_density
 
 GAMMA = 0.03
 SPECTRAL_SPAN = math.hypot(2 * 0.01, 0.02)  # sqrt(4 w^2 + W2^2) at defaults
@@ -240,3 +240,18 @@ class TestPopulations:
     def test_state_from_populations_is_valid(self, model, demo_pops):
         rho = dsp_core.state_from_populations(model.eigensystem, demo_pops)
         assert qmat.validate_density_matrix(rho, tol=1e-12).passes
+
+    @pytest.mark.parametrize("case", ["demo", "degenerate"])
+    def test_state_from_populations_is_bitwise_the_matrix_product(self, model, demo_pops, case):
+        # V diag(lam) V^dag as three matrices, the form the column scaling replaced.
+        if case == "degenerate":
+            model = dark_state_model([-1.0, 0.0, 0.0, 0.0, 2.0], target_index=3)
+            arrangements = [np.array([0.1, 0.0, 0.4, 0.2, 0.3]), np.full(5, 0.2)]
+        else:
+            reports = optimizer.enumerate_permutations(demo_pops, model)
+            arrangements = [np.array(r.arrangement) for r in reports]
+            assert len(arrangements) == 720
+        vecs = model.eigensystem.vectors
+        for lam in arrangements:
+            expected = vecs @ np.diag(lam.astype(complex)) @ vecs.conj().T
+            assert np.array_equal(dsp_core.state_from_populations(model.eigensystem, lam), expected)

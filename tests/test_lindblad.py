@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dspqsl import dsp_core, lindblad, qmat, rydberg
-from helpers import dark_state_model, random_density, rk4_reference
+from helpers import dark_state_model, evolve_batch_direct, random_density, rk4_reference
 
 
 @pytest.fixture()
@@ -257,6 +257,94 @@ class TestEvolveBatch:
             lindblad.evolve_batch(model, stack, t_end=10.0)
         assert info.value.index == 1
         assert info.value.time == 0.0
+
+
+@st.composite
+def diagonal_stacks(draw):
+    """A model (the demo, or a dark-state model with a degenerate spectrum)
+    and 1-4 states diagonal in its eigenbasis, with some populations zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        model = rydberg.build_model()
+    else:
+        d = draw(st.integers(2, 6))
+        energies = np.sort(rng.choice([-1.0, 0.0, 0.5, 1.0], size=d))
+        model = dark_state_model(
+            energies, target_index=draw(st.integers(1, d)), rate=draw(st.floats(0.1, 1.0))
+        )
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        lam = rng.uniform(size=model.dim) * (rng.uniform(size=model.dim) < 0.6)
+        if not lam.any():
+            lam[rng.integers(model.dim)] = 1.0
+        rows.append(lam / lam.sum())
+    return model, np.array(rows)
+
+
+class TestSuperposedBatchAgainstOracle:
+    """`evolve_batch` on eigenbasis-diagonal stacks against the state-by-state
+    oracle: exact fields within roundoff, bounds on the side of the gates."""
+
+    # 407 steps of 0.05: the final record is off-stride for strides 7 and 20.
+    T_END = 20.35
+    # The trace, the Hermiticity defect and, for a state with a zero
+    # population, the lowest eigenvalue are roundoff on both paths, which
+    # round differently: over 1 300 seeded examples of these inputs the two
+    # trace deviations differed by at most 2.0e-14, the direct defect
+    # exceeded the bound by at most 2.2e-14 and the bound exceeded the
+    # direct eigenvalue by at most 1.6e-16 (the gates are 1e-8, 1e-9, -1e-8).
+    TRACE_ROUNDOFF = 5e-14
+    HERM_ROUNDOFF = 5e-14
+    EIG_ROUNDOFF = 1e-15
+
+    @given(case=diagonal_stacks(), stride=st.sampled_from([1, 7, 20]))
+    @settings(max_examples=30)
+    def test_matches_oracle_and_bounds_hold(self, case, stride):
+        model, populations = case
+        stack = np.stack([dsp_core.state_from_populations(model.eigensystem, lam) for lam in populations])
+        weights = lindblad._eigenbasis_weights(model, stack)
+        assert weights is not None and np.max(np.abs(weights - populations)) < 1e-12
+
+        got = lindblad.evolve_batch(model, stack, self.T_END, step=0.05, stride=stride)
+        want = evolve_batch_direct(model, stack, self.T_END, step=0.05, stride=stride)
+        assert np.array_equal(got.times, want.times)
+        assert np.max(np.abs(got.fidelities - want.fidelities)) < 1e-12
+        assert np.max(np.abs(got.final_states - want.final_states)) < 1e-12
+        assert np.max(np.abs(got.max_trace_dev - want.max_trace_dev)) < self.TRACE_ROUNDOFF
+        assert np.all(got.max_herm_defect >= want.max_herm_defect - self.HERM_ROUNDOFF)
+        assert np.all(got.min_eigenvalue <= want.min_eigenvalue + self.EIG_ROUNDOFF)
+
+    @pytest.mark.parametrize("case", ["coherent", "negative-weight", "mixed-stack"])
+    def test_other_stacks_take_the_direct_path(self, model, demo_state, case):
+        rng = np.random.default_rng(7)
+        vecs = model.eigensystem.vectors
+        negative = vecs @ np.diag([1.2, -0.2, 0.0, 0.0, 0.0, 0.0]) @ vecs.conj().T
+        stack = {
+            "coherent": random_density(rng, 6)[None],
+            "negative-weight": np.stack([demo_state, negative]),
+            "mixed-stack": np.stack([demo_state, random_density(rng, 6)]),
+        }[case]
+        assert lindblad._eigenbasis_weights(model, stack) is None
+        got = lindblad.evolve_batch(model, stack, self.T_END, step=0.05, stride=7)
+        want = evolve_batch_direct(model, stack, self.T_END, step=0.05, stride=7)
+        for field in dataclasses.fields(lindblad.BatchEvolution):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+    @pytest.mark.parametrize("n_batch", [1, 3])
+    def test_unstable_step_names_the_oracle_trajectory(self, model, demo_pops, n_batch):
+        arrangements = [demo_pops, np.sort(demo_pops), np.array([0.0, 0.0, 0.5, 0.5, 0.0, 0.0])]
+        stack = np.stack([
+            dsp_core.state_from_populations(model.eigensystem, lam) for lam in arrangements[:n_batch]
+        ])
+        with pytest.raises(lindblad.IntegrationError) as expected:
+            evolve_batch_direct(model, stack, 1e6, step=200.0, stride=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(lindblad.IntegrationError) as got:
+                lindblad.evolve_batch(model, stack, 1e6, step=200.0, stride=200)
+        assert got.value.time == expected.value.time
+        assert got.value.index == expected.value.index
+        assert str(got.value) == str(expected.value)
 
 
 class TestCoherenceDecouplingDiagnostic:

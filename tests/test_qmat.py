@@ -170,6 +170,17 @@ class TestFrobeniusNorm:
         v = random_unitary(rng, dim)
         assert abs(qmat.frobenius_norm(u @ m @ v) - qmat.frobenius_norm(m)) < 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_whose_squares_overflow(self):
+        m = np.array([[1e300, 2e300j], [-2e300, 4e300]])
+        assert abs(qmat.frobenius_norm(m) / (5e300) - 1.0) < 1e-15
+        assert qmat.frobenius_norm(np.full((2, 2), 1.7e308)) == np.inf
+        assert qmat.hermiticity_defect(np.array([[0.0, 1e300], [0.0, 0.0]])) == 1e300 * np.sqrt(2)
+
+    def test_ordinary_entries_give_numpy_norm(self):
+        m = np.random.default_rng(3).normal(size=(6, 6)) * (1 + 1j)
+        assert qmat.frobenius_norm(m) == float(np.linalg.norm(m))
+
 
 class TestTraceProduct:
     def test_pure_state_purity(self):
