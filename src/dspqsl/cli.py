@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +94,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         _expect(key in known, f"unknown config key {key!r}")
 
     cfg = RunConfig()
-    cfg.model = raw.get("model", "rydberg")
+    cfg.model = raw.get("model", cfg.model)
     _expect(cfg.model in ("rydberg", "custom"), f"model must be 'rydberg' or 'custom', got {cfg.model!r}")
 
     ryd = raw.get("rydberg", {})
@@ -102,11 +102,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     for key in ryd:
         _expect(key in ("omega2", "omega", "gamma"), f"unknown rydberg key {key!r}")
     try:
-        cfg.rydberg_params = rydberg.RydbergParams(
-            omega2=float(ryd.get("omega2", 0.02)),
-            omega=float(ryd.get("omega", 0.01)),
-            gamma=float(ryd.get("gamma", 0.03)),
-        )
+        cfg.rydberg_params = replace(cfg.rydberg_params, **{k: float(v) for k, v in ryd.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad rydberg parameters: {exc}") from exc
 
@@ -114,7 +110,7 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     if cfg.model == "custom":
         _expect(isinstance(cfg.custom, dict), "model 'custom' requires a 'custom' object")
 
-    pops = raw.get("populations", "demo")
+    pops = raw.get("populations", cfg.populations)
     if isinstance(pops, str):
         _expect(pops in ("demo", "thermal"), f"populations must be 'demo', 'thermal' or a list, got {pops!r}")
         cfg.populations = pops
@@ -125,17 +121,17 @@ def parse_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"populations entries must be numbers: {exc}") from exc
 
-    cfg.beta = _number(raw, "beta", 20.0)
-    cfg.permutation = raw.get("permutation", "A")
-    cfg.t_end = _number(raw, "t_end", 5000.0)
+    cfg.beta = _number(raw, "beta", cfg.beta)
+    cfg.permutation = raw.get("permutation", cfg.permutation)
+    cfg.t_end = _number(raw, "t_end", cfg.t_end)
     _expect(cfg.t_end > 0, "t_end must be positive")
     if raw.get("step") is not None:
         cfg.step = _number(raw, "step", None)
         _expect(cfg.step > 0, "step must be positive")
-    stride = raw.get("stride", 20)
+    stride = raw.get("stride", cfg.stride)
     _expect(type(stride) is int and stride >= 1, "stride must be an integer >= 1")
     cfg.stride = stride
-    cfg.g = _number(raw, "g", optimizer.DEFAULT_HEAT_WEIGHT)
+    cfg.g = _number(raw, "g", cfg.g)
     _expect(0.0 <= cfg.g < 1.0, "g must lie in [0, 1)")
     out = raw.get("out")
     _expect(out is None or isinstance(out, str), "key 'out' must be a string path")
@@ -516,6 +512,10 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](parse_config(args.config, overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # Reading the config raises ConfigError, so this is an output path.
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except qmat.ConvergenceError as exc:
         print(f"config error: cannot build model: {exc}", file=sys.stderr)

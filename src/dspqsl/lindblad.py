@@ -4,8 +4,8 @@ States evolve under rho' = -i[H, rho] + sum_mu gamma_mu D[L_mu] rho with
 D[L] rho = L rho L^dag - {L^dag L, rho}/2. The generator is linear and
 time independent, so an RK4 step is a fixed matrix P on vectorized states
 and each record is one product with P^stride. `evolve` (one state) and
-`evolve_batch` (a stack) share that stepper; a stack diagonal in the
-eigenbasis is stepped as its d eigenprojectors and recombined by linearity.
+`evolve_batch` (a stack diagonal in the eigenbasis) share that stepper;
+the stack is stepped as its eigenprojectors and recombined by linearity.
 `lindblad_rhs` is the direct, readable form of the generator and the two
 are tested against each other.
 """
@@ -56,7 +56,7 @@ MAX_RECORDS = 200_000
 _BLOCK_STATES = 1024
 
 # Largest eigenbasis entry by which a stack may miss nonnegative diagonal
-# matrices and still be integrated by superposition in `evolve_batch`.
+# matrices and still be admitted by `evolve_batch`.
 SUPERPOSITION_TOL = 1e-12
 
 _NON_FINITE = "state became non-finite"
@@ -99,7 +99,7 @@ class ModelSpec:
         self.h_s = qmat.as_complex_matrix(self.h_s)
         d = self.h_s.shape[0]
         scale = max(1.0, qmat.frobenius_norm(self.h_s))
-        if qmat.hermiticity_defect(self.h_s) > 1e-12 * scale:
+        if qmat.hermiticity_defect(self.h_s) > qmat.HERMITICITY_RTOL * scale:
             raise ModelError("Hamiltonian is not Hermitian")
         self.jump_ops = [qmat.as_complex_matrix(l) for l in self.jump_ops]
         if any(l.shape[0] != d for l in self.jump_ops):
@@ -321,7 +321,7 @@ def evolve(
     threshold.
     """
     r0 = qmat.as_complex_matrix(rho0)
-    health = qmat.validate_density_matrix(r0, tol=1e-10)
+    health = qmat.validate_density_matrix(r0)
     if not health.passes:
         raise ValueError(f"initial state is not a valid density matrix: {health}")
     if step is None:
@@ -360,10 +360,10 @@ def evolve(
 class BatchEvolution:
     """Summaries of many trajectories integrated side by side.
 
-    For a stack diagonal in the eigenbasis with nonnegative weights (see
-    `evolve_batch`), `fidelities`, `max_trace_dev` and `final_states` are
+    The stack is diagonal in the eigenbasis with nonnegative weights (see
+    `evolve_batch`): `fidelities`, `max_trace_dev` and `final_states` are
     exact, `max_herm_defect` is an upper bound and `min_eigenvalue` a lower
-    bound on the extrema of the stacked trajectories; otherwise all are exact.
+    bound on the extrema of the stacked trajectories.
     """
 
     times: np.ndarray            # (R,)
@@ -378,29 +378,40 @@ class BatchEvolution:
         return self.fidelities[:, -1]
 
 
-def _eigenbasis_weights(model: ModelSpec, stack: np.ndarray) -> np.ndarray | None:
+def _eigenbasis_weights(model: ModelSpec, stack: np.ndarray) -> np.ndarray:
     """Weights W (B, d) with stack[b] = V diag(W[b]) V^dag, V the model's
-    eigenvectors, or None unless every entry of V^dag stack[b] V is finite
-    and within SUPERPOSITION_TOL of a diagonal with nonnegative real part.
+    eigenvectors, up to SUPERPOSITION_TOL per entry of V^dag stack[b] V.
 
-    Roundoff in the rotation turns a zero population into about -1e-18, so
-    a weight within the tolerance below zero counts as zero.
+    Raises ValueError naming the first state that is non-finite, off that
+    diagonal or below zero by more than the tolerance, and for an empty or
+    all-zero stack. Roundoff in the rotation turns a zero population into
+    about -1e-18, so a weight within the tolerance below zero counts as zero.
     """
     d = model.dim
-    if stack.ndim != 3 or stack.shape[1:] != (d, d) or not np.isfinite(stack).all():
-        return None
+    if stack.ndim != 3 or stack.shape[1:] != (d, d) or not len(stack):
+        raise ValueError(f"expected a nonempty (B, {d}, {d}) stack of states, got {stack.shape}")
     vecs = model.eigensystem.vectors
     with np.errstate(over="ignore", invalid="ignore"):
         rotated = vecs.conj().T @ stack @ vecs
-    diag = np.diagonal(rotated, axis1=1, axis2=2)
-    diagonal = (
-        np.isfinite(rotated).all()
-        and np.abs(rotated[:, ~np.eye(d, dtype=bool)]).max(initial=0.0) <= SUPERPOSITION_TOL
-        and np.abs(diag.imag).max(initial=0.0) <= SUPERPOSITION_TOL
-        and diag.real.min(initial=0.0) >= -SUPERPOSITION_TOL
-    )
-    weights = np.maximum(diag.real, 0.0)
-    return weights if diagonal and weights.any() else None
+        weights = np.diagonal(rotated, axis1=1, axis2=2).real
+        # Largest entry off a real diagonal: coherences and imaginary weights.
+        coherence = np.abs(rotated - weights[..., None] * np.eye(d)).max(axis=(1, 2))
+    lowest = weights.min(axis=1)
+    # Negated so that a non-finite state, whose rotation holds a NaN or an
+    # infinity off the diagonal, is refused.
+    refused = ~((coherence <= SUPERPOSITION_TOL) & (lowest >= -SUPERPOSITION_TOL))
+    if refused.any():
+        b = int(np.argmax(refused))
+        if not np.isfinite(stack[b]).all():
+            raise ValueError(f"state {b} of the stack is not finite")
+        raise ValueError(
+            f"state {b} of the stack is not diagonal in the eigenbasis with nonnegative "
+            f"weights (coherence {coherence[b]:.3e}, lowest weight {lowest[b]:.3e}); use evolve"
+        )
+    weights = np.maximum(weights, 0.0)
+    if not weights.any():
+        raise ValueError("every state of the stack has zero weight")
+    return weights
 
 
 def evolve_batch(
@@ -410,73 +421,60 @@ def evolve_batch(
     step: float | None = None,
     stride: int = DEFAULT_STRIDE,
 ) -> BatchEvolution:
-    """Evolve a stack of initial states (B, d, d) under one model.
+    """Evolve a stack of initial states (B, d, d), each diagonal in the
+    model's eigenbasis with nonnegative weights: rho_b = sum_k w_bk |k><k|.
 
-    Uses the same fixed step and record grid as `evolve` but keeps only
-    per-record fidelities and running conservation extrema per state.
-    Aborts only on a non-finite state, naming its trajectory index;
-    threshold checks are the caller's.
-
-    A stack diagonal in the model's eigenbasis, rho_b = sum_k w_bk |k><k|
-    with w >= 0 (see `_eigenbasis_weights`), is integrated by linearity:
-    only the eigenprojectors |k><k| that carry weight are stepped, and
-    every field is read from their records through W. Fidelities, trace
-    deviations and final states are exact by linearity; the Hermiticity
-    defect is bounded above by W @ defect_k (triangle inequality) and the
-    lowest eigenvalue below by W @ lambda_min_k (Weyl's inequality), record
-    by record, before the extrema over records are taken. These statements
-    hold for V diag(W) V^dag, which differs from the stack by at most
-    SUPERPOSITION_TOL per eigenbasis entry, and up to roundoff: the direct
-    and the superposed values round differently. Any other stack is stepped
-    state by state and all its fields are exact.
+    Any other stack is refused with ValueError before the generator is
+    formed (see `_eigenbasis_weights`); `evolve` integrates any one state.
+    The record grid is that of `evolve`, but only per-record fidelities and
+    running conservation extrema are kept. By linearity only the
+    eigenprojectors |k><k| that carry weight are stepped, and every field
+    is read from their records through W: fidelities, trace deviations and
+    final states exactly, the Hermiticity defect as an upper bound
+    (W @ defect_k, triangle inequality) and the lowest eigenvalue as a
+    lower bound (W @ lambda_min_k, Weyl's inequality), record by record
+    before the extrema over records are taken. This holds for
+    V diag(W) V^dag, within SUPERPOSITION_TOL of the stack per eigenbasis
+    entry, and up to roundoff. Aborts only on a non-finite state, naming
+    its trajectory index; threshold checks are the caller's.
     """
     stack = np.asarray(states, dtype=complex)
+    weights = _eigenbasis_weights(model, stack)
     if step is None:
         step = default_step(model)
     n_batch = len(stack)
-    weights = _eigenbasis_weights(model, stack)
-    if weights is None:
-        runs = stack
-    else:
-        used = weights.any(axis=0)
-        weights = weights[:, used]
-        vecs = model.eigensystem.vectors[:, used]
-        runs = np.einsum("ik,jk->kij", vecs, vecs.conj())
-        weight_excess = weights.sum(axis=1) - 1.0
+    used = weights.any(axis=0)
+    weights = weights[:, used]
+    vecs = model.eigensystem.vectors[:, used]
+    projectors = np.einsum("ik,jk->kij", vecs, vecs.conj())
+    weight_excess = weights.sum(axis=1) - 1.0
     times, fids = [], []
     max_trace = np.zeros(n_batch)
     max_herm = np.zeros(n_batch)
     min_eig = np.full(n_batch, np.inf)
     try:
-        for block_times, block_states, (trace_dev, herm, eig_lo, fid) in _record_blocks(
-            model, runs, t_end, step, stride
+        for block_times, block_states, (_, herm, eig_lo, fid) in _record_blocks(
+            model, projectors, t_end, step, stride
         ):
-            if weights is not None:
-                # Signed traces, so that the deviation is exact.
-                traces = np.einsum("rkii->rk", block_states) - 1.0
-                trace_dev = np.abs(traces @ weights.T + weight_excess)
-                herm, eig_lo, fid = herm @ weights.T, eig_lo @ weights.T, fid @ weights.T
+            # Signed basis traces, so that the deviation is exact.
+            traces = np.einsum("rkii->rk", block_states) - 1.0
+            trace_dev = np.abs(traces @ weights.T + weight_excess)
             times.append(block_times)
-            fids.append(fid)
+            fids.append(fid @ weights.T)
             np.maximum(max_trace, trace_dev.max(axis=0), out=max_trace)
-            np.maximum(max_herm, herm.max(axis=0), out=max_herm)
-            np.minimum(min_eig, eig_lo.min(axis=0), out=min_eig)
+            np.maximum(max_herm, (herm @ weights.T).max(axis=0), out=max_herm)
+            np.minimum(min_eig, (eig_lo @ weights.T).min(axis=0), out=min_eig)
     except IntegrationError as err:
-        if weights is None:
-            raise
         # Name the first stacked trajectory that holds the offending projector.
         offending = 0 if err.index is None else err.index
         index = None if n_batch == 1 else int(np.argmax(weights[:, offending] > 0.0))
         raise IntegrationError(_NON_FINITE, err.time, index) from None
 
-    final_states = block_states[-1].copy()
-    if weights is not None:
-        final_states = np.tensordot(weights, final_states, 1)
     return BatchEvolution(
         times=np.concatenate(times),
         fidelities=np.ascontiguousarray(np.concatenate(fids).T),
         max_trace_dev=max_trace,
         max_herm_defect=max_herm,
         min_eigenvalue=min_eig,
-        final_states=final_states,
+        final_states=np.tensordot(weights, block_states[-1], 1),
     )

@@ -35,9 +35,6 @@ __all__ = [
 # A d = 9 sweep (362 880 rows) takes seconds; d = 10 would write 3.6 M rows.
 MAX_ENUMERATION_DIM = 9
 
-# Bound values closer than this count as tied (heat decides).
-T_TIE_TOL = 1e-12
-
 # Small heat weight: fidelity dominates but heat still registers.
 DEFAULT_HEAT_WEIGHT = 0.01
 
@@ -185,11 +182,12 @@ def named_permutation(label: str, populations, model) -> Permutation:
 
 
 def lexicographic_select(reports: list[PermutationReport]) -> PermutationReport:
-    """Minimal time bound first, then minimal heat, then permutation order."""
+    """Minimal time bound first, then minimal heat, then permutation order;
+    only equal bounds tie, as in `pareto_mask`, so the winner is on its front."""
     if not reports:
         raise ValueError("no permutation reports to select from")
     t_min = min(r.t_qsl for r in reports)
-    pool = [r for r in reports if r.t_qsl <= t_min + T_TIE_TOL]
+    pool = [r for r in reports if r.t_qsl == t_min]
     q_min = min(r.heat for r in pool)
     pool = [r for r in pool if r.heat == q_min]
     return min(pool, key=lambda r: r.permutation)

@@ -48,8 +48,9 @@ class RydbergParams:
 
     def __post_init__(self):
         for name in ("omega2", "omega", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails both
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def bell_target() -> np.ndarray:

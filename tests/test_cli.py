@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dspqsl import cli, optimizer
+from dspqsl import cli, optimizer, rydberg
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -124,6 +125,8 @@ class TestMalformedConfigs:
             ({"populations": [10**400] + [0.0] * 5}, [], "populations entries"),
             (custom(gamma_ref=10**400), [], "'gamma_ref'"),
             ({"rydberg": {"omega": 10**400}}, [], "bad rydberg parameters"),
+            ({"rydberg": {"omega": math.nan}}, [], "omega must be finite and nonnegative"),
+            ({"rydberg": {"gamma": math.inf}}, [], "gamma must be finite and nonnegative"),
             ({}, ["--step", "-1"], "step must be positive"),
             ({}, ["--t-end", "inf"], "'t_end'"),
         ],
@@ -133,7 +136,7 @@ class TestMalformedConfigs:
             "too-many-records", "ragged-row", "three-element-pair", "string-entry",
             "wrong-row-count", "short-target", "malformed-jump-op", "overflowing-entry",
             "overflowing-population", "overflowing-gamma_ref", "overflowing-rydberg-parameter",
-            "cli-negative-step", "cli-infinite-t_end",
+            "nan-rydberg-omega", "infinite-rydberg-gamma", "cli-negative-step", "cli-infinite-t_end",
         ],
     )
     def test_exit_2_with_a_one_line_message(self, tmp_path, capsys, overrides, argv, needle):
@@ -144,6 +147,19 @@ class TestMalformedConfigs:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error:") and err.count("\n") == 1
         assert needle in err
+
+    @pytest.mark.parametrize("command", ["model-info", "simulate", "sweep", "optimize"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, command, target):
+        config = write_config(
+            tmp_path, **custom(), populations=[0.3, 0.7], permutation="optimal", t_end=10.0
+        )
+        out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+        code = cli.main([command, "--config", config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert str(out) in err
 
 
 class TestModelInfo:
@@ -459,6 +475,16 @@ class TestOptimize:
         assert code == cli.EXIT_DISAGREEMENT
         assert "agreement: FALSE" in capsys.readouterr().out
 
+    def test_bounds_apart_by_roundoff_are_not_tied(self, tmp_path, capsys, model):
+        # The two largest populations give target bounds 8e-13 apart and the
+        # larger bound the lower heat; the smaller bound must still win.
+        config = write_config(tmp_path, populations=[0.3, 0.3 + 1e-14, 0.1, 0.15, 0.08, 0.07])
+        assert cli.main(["optimize", "--config", config]) == cli.EXIT_OK
+        assert "agreement: true" in capsys.readouterr().out
+        lam = cli.resolve_populations(cli.parse_config(config), model)
+        reports = optimizer.enumerate_permutations(lam, model)
+        assert optimizer.lexicographic_select(reports) in optimizer.pareto_front(reports)
+
 
 # Replacement values for config keys: wrong types, non-finite and oversized numbers.
 _BAD_VALUES = st.sampled_from(
@@ -490,6 +516,8 @@ class TestFuzzedConfigs:
         config = json.loads((CONFIGS / name).read_text())
         # A short horizon keeps a run that is admitted cheap.
         config["t_end"] = min(config.get("t_end", 5000.0), 40.0)
+        if data.draw(st.booleans()):
+            config["rydberg"] = dataclasses.asdict(rydberg.RydbergParams())
         for _ in range(data.draw(st.integers(1, 3))):
             paths = list(_key_paths(config))
             if not paths:
@@ -503,12 +531,14 @@ class TestFuzzedConfigs:
             else:
                 node[key] = copy.deepcopy(data.draw(_BAD_VALUES))
         command = data.draw(st.sampled_from(["model-info", "simulate", "sweep", "optimize"]))
+        out = data.draw(st.sampled_from(["out", "missing/out", "dir"]))  # file, no directory, directory
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(config))
+            (Path(tmp) / "dir").mkdir()
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+                code = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / out)])
         assert code in (0, 2, 3, 4, 5)
         assert "Traceback" not in err.getvalue()
