@@ -55,10 +55,9 @@ def run(cfg: StudyConfig) -> None:
 
     reports = optimizer.enumerate_permutations(lam, model)
     winner = optimizer.lexicographic_select(reports)
-    front = optimizer.pareto_front(reports)
     print(f"winner arrangement: {winner.arrangement}")
     print(f"winner t_qsl * gamma = {winner.t_qsl * cfg.gamma:.6f}, heat = {winner.heat:.6e}")
-    print(f"pareto front size: {len(front)} of {len(reports)}")
+    print(f"pareto front size: {int(optimizer.pareto_mask(reports).sum())} of {len(reports)}")
     for row, label in enumerate(arrangements):
         print(f"{label}: final fidelity {batch.fidelities[row, -1]:.6f}")
 

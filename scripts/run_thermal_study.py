@@ -58,12 +58,8 @@ def run(cfg: StudyConfig) -> None:
         ((r.t_qsl * cfg.gamma, r.heat) for r in reports),
     )
 
-    heats = {
-        label: dsp_core.dissipated_heat(
-            model, dsp_core.state_from_populations(model.eigensystem, arr)
-        )
-        for label, arr in arrangements.items()
-    }
+    by_arrangement = {r.arrangement: r for r in reports}
+    heats = {label: by_arrangement[tuple(arr.tolist())].heat for label, arr in arrangements.items()}
     sup_diff = float(np.max(np.abs(batch.fidelities[1] - batch.fidelities[2])))
     print(f"winner arrangement: {tuple(round(v, 6) for v in winner.arrangement)}")
     print(f"sup |F_B - F_C| over the run: {sup_diff:.3e}")

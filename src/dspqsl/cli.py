@@ -343,9 +343,9 @@ def cmd_model_info(cfg: RunConfig) -> int:
     if a <= 0.0:
         lines.append("warning: QSL undefined (A = 0)")
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if cfg.out:
         Path(cfg.out).write_text(text)
+    sys.stdout.write(text)
     return EXIT_OK if report.passes else EXIT_CONDITIONS
 
 
@@ -354,6 +354,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     lam = resolve_populations(cfg, model)
     requested = resolve_permutations(cfg, lam, model)
     out = _out_path(cfg, "trajectory.csv")
+    if out.is_dir():  # several labels would write siblings of it, outside it
+        raise ConfigError(f"cannot write output: {out} is a directory")
     gamma_ref = model.gamma_ref if model.gamma_ref is not None else float("nan")
     step = cfg.step if cfg.step is not None else lindblad.default_step(model)
     try:
@@ -452,7 +454,6 @@ def cmd_optimize(cfg: RunConfig) -> int:
         f"winner (t_qsl, heat): ({winner.t_qsl:.12e}, {winner.heat:.12e})",
         f"agreement: {'true' if agree else 'FALSE'}",
     ]
-    sys.stdout.write("\n".join(lines) + "\n")
     if cfg.out:
         payload = {
             "analytic": {
@@ -470,6 +471,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
             "agreement": agree,
         }
         Path(cfg.out).write_text(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if agree else EXIT_DISAGREEMENT
 
 

@@ -199,8 +199,6 @@ class Trajectory:
     angle arccos(fidelity), and per-record conservation diagnostics.
     """
 
-    model: ModelSpec
-    step: float
     times: np.ndarray           # (R,)
     states: np.ndarray          # (R, d, d)
     fidelities: np.ndarray      # (R,)
@@ -216,10 +214,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    @property
-    def final_fidelity(self) -> float:
-        return float(self.fidelities[-1])
 
 
 def check_grid(t_end: float, step: float, stride: int) -> int:
@@ -353,7 +347,7 @@ def evolve(
         coherence = np.abs((vecs.conj().T @ rhos @ vecs)[:, offdiag]).max(axis=1, initial=0.0)
         # In the order of the Trajectory fields.
         columns.append((times, rhos, fid, angle, trace_dev, herm, min_eig, coherence))
-    return Trajectory(model, step, *(np.concatenate(c) for c in zip(*columns)))
+    return Trajectory(*(np.concatenate(c) for c in zip(*columns)))
 
 
 @dataclass
@@ -361,9 +355,9 @@ class BatchEvolution:
     """Summaries of many trajectories integrated side by side.
 
     The stack is diagonal in the eigenbasis with nonnegative weights (see
-    `evolve_batch`): `fidelities`, `max_trace_dev` and `final_states` are
-    exact, `max_herm_defect` is an upper bound and `min_eigenvalue` a lower
-    bound on the extrema of the stacked trajectories.
+    `evolve_batch`): `fidelities` and `max_trace_dev` are exact,
+    `max_herm_defect` is an upper bound and `min_eigenvalue` a lower bound
+    on the extrema of the stacked trajectories. No state is kept.
     """
 
     times: np.ndarray            # (R,)
@@ -371,11 +365,6 @@ class BatchEvolution:
     max_trace_dev: np.ndarray    # (B,)
     max_herm_defect: np.ndarray  # (B,)
     min_eigenvalue: np.ndarray   # (B,)
-    final_states: np.ndarray     # (B, d, d)
-
-    @property
-    def final_fidelities(self) -> np.ndarray:
-        return self.fidelities[:, -1]
 
 
 def _eigenbasis_weights(model: ModelSpec, stack: np.ndarray) -> np.ndarray:
@@ -429,8 +418,8 @@ def evolve_batch(
     The record grid is that of `evolve`, but only per-record fidelities and
     running conservation extrema are kept. By linearity only the
     eigenprojectors |k><k| that carry weight are stepped, and every field
-    is read from their records through W: fidelities, trace deviations and
-    final states exactly, the Hermiticity defect as an upper bound
+    is read from their records through W: fidelities and trace deviations
+    exactly, the Hermiticity defect as an upper bound
     (W @ defect_k, triangle inequality) and the lowest eigenvalue as a
     lower bound (W @ lambda_min_k, Weyl's inequality), record by record
     before the extrema over records are taken. This holds for
@@ -476,5 +465,4 @@ def evolve_batch(
         max_trace_dev=max_trace,
         max_herm_defect=max_herm,
         min_eigenvalue=min_eig,
-        final_states=np.tensordot(weights, block_states[-1], 1),
     )

@@ -27,7 +27,6 @@ __all__ = [
     "named_permutation",
     "objective_w",
     "optimal_permutation",
-    "pareto_front",
     "pareto_mask",
     "passive_permutation",
 ]
@@ -214,9 +213,3 @@ def pareto_mask(reports: list[PermutationReport]) -> np.ndarray:
     sizes = np.diff(np.r_[starts, t.size])
     mask[order] = (q == np.repeat(group_min, sizes)) & np.repeat(survives, sizes)
     return mask
-
-
-def pareto_front(reports: list[PermutationReport]) -> list[PermutationReport]:
-    """The non-dominated reports, in the input (canonical) order."""
-    mask = pareto_mask(reports)
-    return [r for r, keep in zip(reports, mask) if keep]

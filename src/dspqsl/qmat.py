@@ -22,7 +22,6 @@ __all__ = [
     "frobenius_norm",
     "hermitian_eigensystem",
     "hermiticity_defect",
-    "trace_product",
     "validate_density_matrix",
 ]
 
@@ -39,6 +38,9 @@ KET_NORM_FLOOR = 1e-12
 # Relative magnitude within which two components of an eigenvector count
 # as tied for the phase convention.
 PHASE_TIE_RTOL = 1e-9
+
+# Largest Hermiticity defect, trace deviation and -eigenvalue of a valid state.
+DENSITY_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -87,19 +89,6 @@ def hermiticity_defect(m) -> float:
     return frobenius_norm(a - a.conj().T)
 
 
-def trace_product(a, b) -> complex:
-    """Tr(A B), the Hilbert-Schmidt pairing (relative purity for states).
-
-    Real within roundoff when both arguments are Hermitian.
-    """
-    am = as_complex_matrix(a)
-    bm = as_complex_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    # Tr(AB) = sum_ij A_ij B_ji
-    return complex(np.sum(am * bm.T))
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues with matched orthonormal eigenvector columns."""
@@ -116,10 +105,6 @@ class EigenSystem:
         if not 1 <= index <= self.dim:
             raise IndexError(f"eigenvector index {index} outside 1..{self.dim}")
         return self.vectors[:, index - 1]
-
-    def to_eigenbasis(self, m) -> np.ndarray:
-        """Represent an operator in this eigenbasis: V^dag M V."""
-        return self.vectors.conj().T @ as_complex_matrix(m) @ self.vectors
 
 
 def _degenerate_clusters(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
@@ -268,18 +253,17 @@ class ValidityReport:
     hermiticity_defect: float
     trace_deviation: float
     min_eigenvalue: float
-    tol: float
 
     @property
     def passes(self) -> bool:
         return (
-            self.hermiticity_defect <= self.tol
-            and self.trace_deviation <= self.tol
-            and self.min_eigenvalue >= -self.tol
+            self.hermiticity_defect <= DENSITY_TOL
+            and self.trace_deviation <= DENSITY_TOL
+            and self.min_eigenvalue >= -DENSITY_TOL
         )
 
 
-def validate_density_matrix(rho, tol: float = 1e-10) -> ValidityReport:
+def validate_density_matrix(rho) -> ValidityReport:
     """Report Hermiticity defect, trace deviation and the lowest eigenvalue.
 
     Never raises for unhealthy states; the caller reads `passes`.
@@ -292,5 +276,4 @@ def validate_density_matrix(rho, tol: float = 1e-10) -> ValidityReport:
         hermiticity_defect=float(defect),
         trace_deviation=float(trace_dev),
         min_eigenvalue=min_eig,
-        tol=float(tol),
     )

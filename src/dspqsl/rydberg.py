@@ -22,7 +22,6 @@ __all__ = [
     "DIM",
     "TARGET_INDEX",
     "RydbergParams",
-    "analytic_eigenbasis",
     "bell_target",
     "build_hamiltonian",
     "build_jump_ops",
@@ -103,41 +102,6 @@ def build_model(params: RydbergParams | None = None) -> ModelSpec:
     )
     model.check_target_alignment()
     return model
-
-
-def analytic_eigenbasis(params: RydbergParams | None = None) -> qmat.EigenSystem:
-    """Closed-form eigenbasis from the atom-exchange block structure.
-
-    The exchange-antisymmetric sector gives eigenvalues -/+ omega2; the
-    symmetric sector splits into the Bell target (eigenvalue 0), a second
-    zero mode, and -/+ sqrt(4*omega^2 + omega2^2). Eigenvalues come out
-    ascending, with the Bell state at the 1-based slot 4.
-    """
-    p = params if params is not None else RydbergParams()
-    s = math.hypot(2.0 * p.omega, p.omega2)
-    if s == 0.0:
-        raise ValueError("omega and omega2 are both zero; basis is arbitrary")
-    e = np.eye(DIM, dtype=complex)
-    e00, e01, e10, e11, e0r, er0 = (e[:, k] for k in range(DIM))
-    rt2 = math.sqrt(2.0)
-    sym_ground = (e00 + e11) / rt2
-    sym_flip = (e01 + e10) / rt2
-    sym_ryd = (e0r + er0) / rt2
-    asym_flip = (e01 - e10) / rt2
-    asym_ryd = (e0r - er0) / rt2
-
-    two_omega = 2.0 * p.omega
-    columns = [
-        (two_omega * sym_ground - s * sym_flip + p.omega2 * sym_ryd) / (s * rt2),
-        (asym_flip - asym_ryd) / rt2,
-        (p.omega2 * sym_ground - two_omega * sym_ryd) / s,
-        bell_target(),
-        (asym_flip + asym_ryd) / rt2,
-        (two_omega * sym_ground + s * sym_flip + p.omega2 * sym_ryd) / (s * rt2),
-    ]
-    values = np.array([-s, -p.omega2, 0.0, 0.0, p.omega2, s])
-    # s >= omega2 always, so the listed order is already ascending.
-    return qmat.EigenSystem(eigenvalues=values, vectors=np.column_stack(columns))
 
 
 def thermal_populations(beta: float, energies) -> np.ndarray:

@@ -1,14 +1,16 @@
-"""Shared test utilities: random matrix generators and synthetic models."""
+"""Shared test utilities: random matrix generators, synthetic models and
+the oracles that the production paths are checked against."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
 
-from dspqsl import dsp_core, lindblad, optimizer, qmat
+from dspqsl import dsp_core, lindblad, optimizer, qmat, rydberg
 from dspqsl.lindblad import IntegrationError, ModelSpec
 
 
@@ -116,6 +118,85 @@ def jacobi_eigensystem(m, target=None, target_index=None, **budget) -> qmat.Eige
         return qmat.hermitian_eigensystem(m, target=target, target_index=target_index)
 
 
+def trace_product(a, b) -> complex:
+    """Tr(A B), the Hilbert-Schmidt pairing (relative purity for states).
+
+    Real within roundoff when both arguments are Hermitian.
+    """
+    am = qmat.as_complex_matrix(a)
+    bm = qmat.as_complex_matrix(b)
+    if am.shape != bm.shape:
+        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
+    # Tr(AB) = sum_ij A_ij B_ji
+    return complex(np.sum(am * bm.T))
+
+
+def to_eigenbasis(basis: qmat.EigenSystem, m) -> np.ndarray:
+    """Represent an operator in an eigenbasis: V^dag M V."""
+    return basis.vectors.conj().T @ qmat.as_complex_matrix(m) @ basis.vectors
+
+
+@dataclass(frozen=True)
+class QslReport:
+    """Speed coefficient, initial overlap, and the two time bounds."""
+
+    a: float
+    cos_theta0: float
+    t_qsl: float
+    t_qsl_2: float
+
+
+def qsl_time(model, rho0) -> QslReport:
+    """Oracle for the population-scored bounds: both bounds of a dense
+    initial state, from its overlap Tr(rho0 rho_f) with the target."""
+    cos0 = float(np.real(trace_product(rho0, model.target_projector)))
+    a = dsp_core.coefficient_a(model)
+    t_qsl, t_qsl_2 = dsp_core.qsl_times_from_overlap(cos0, a)
+    return QslReport(a=a, cos_theta0=min(max(cos0, 0.0), 1.0), t_qsl=t_qsl, t_qsl_2=t_qsl_2)
+
+
+def dissipated_heat(model, rho0) -> float:
+    """Oracle for the population-scored heat of a dense initial state:
+    Tr[H rho0] - E_{n*}."""
+    return float(np.real(trace_product(model.h_s, rho0))) - model.target_energy
+
+
+def analytic_eigenbasis(params: rydberg.RydbergParams | None = None) -> qmat.EigenSystem:
+    """Closed-form eigenbasis of the Rydberg model from its atom-exchange
+    block structure.
+
+    The exchange-antisymmetric sector gives eigenvalues -/+ omega2; the
+    symmetric sector splits into the Bell target (eigenvalue 0), a second
+    zero mode, and -/+ sqrt(4*omega^2 + omega2^2). Eigenvalues come out
+    ascending, with the Bell state at the 1-based slot 4.
+    """
+    p = params if params is not None else rydberg.RydbergParams()
+    s = math.hypot(2.0 * p.omega, p.omega2)
+    if s == 0.0:
+        raise ValueError("omega and omega2 are both zero; basis is arbitrary")
+    e = np.eye(rydberg.DIM, dtype=complex)
+    e00, e01, e10, e11, e0r, er0 = (e[:, k] for k in range(rydberg.DIM))
+    rt2 = math.sqrt(2.0)
+    sym_ground = (e00 + e11) / rt2
+    sym_flip = (e01 + e10) / rt2
+    sym_ryd = (e0r + er0) / rt2
+    asym_flip = (e01 - e10) / rt2
+    asym_ryd = (e0r - er0) / rt2
+
+    two_omega = 2.0 * p.omega
+    columns = [
+        (two_omega * sym_ground - s * sym_flip + p.omega2 * sym_ryd) / (s * rt2),
+        (asym_flip - asym_ryd) / rt2,
+        (p.omega2 * sym_ground - two_omega * sym_ryd) / s,
+        rydberg.bell_target(),
+        (asym_flip + asym_ryd) / rt2,
+        (two_omega * sym_ground + s * sym_flip + p.omega2 * sym_ryd) / (s * rt2),
+    ]
+    values = np.array([-s, -p.omega2, 0.0, 0.0, p.omega2, s])
+    # s >= omega2 always, so the listed order is already ascending.
+    return qmat.EigenSystem(eigenvalues=values, vectors=np.column_stack(columns))
+
+
 def dark_state_model(
     energies, target_index: int, rate: float = 1.0, source_index: int | None = None
 ) -> ModelSpec:
@@ -221,7 +302,7 @@ def evolve_batch_direct(model: ModelSpec, states, t_end: float, step: float | No
     max_herm = np.zeros(n_batch)
     min_eig = np.full(n_batch, np.inf)
     blocks = lindblad._record_blocks(model, stack, t_end, step, stride)
-    for block_times, block_states, (trace_dev, herm, eig_lo, fid) in blocks:
+    for block_times, _, (trace_dev, herm, eig_lo, fid) in blocks:
         times.append(block_times)
         fids.append(fid)
         np.maximum(max_trace, trace_dev.max(axis=0), out=max_trace)
@@ -233,7 +314,6 @@ def evolve_batch_direct(model: ModelSpec, states, t_end: float, step: float | No
         max_trace_dev=max_trace,
         max_herm_defect=max_herm,
         min_eigenvalue=min_eig,
-        final_states=block_states[-1].copy(),
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dspqsl import cli, optimizer, rydberg
+from dspqsl import cli, lindblad, optimizer, rydberg
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -39,6 +39,11 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def no_integration(*args, **kwargs):
+    """Stand-in for `lindblad.evolve` where a run must be refused first."""
+    raise AssertionError("integrated a run that should have been refused")
 
 
 def read_rows(path):
@@ -156,10 +161,26 @@ class TestMalformedConfigs:
         )
         out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
         code = cli.main([command, "--config", config, "--out", str(out)])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == cli.EXIT_CONFIG
-        assert err.startswith("config error:") and err.count("\n") == 1
-        assert str(out) in err
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+        assert captured.out == ""
+
+    def test_directory_out_is_refused_before_integrating(self, tmp_path, capsys, monkeypatch):
+        # Several labels write `<stem>_<label><suffix>` beside --out, so a
+        # directory would turn into sibling files outside it.
+        out = tmp_path / "run"
+        out.mkdir()
+        config = write_config(tmp_path, permutation=["A", "B", "C"], t_end=10.0)
+        monkeypatch.setattr(lindblad, "evolve", no_integration)
+        code = cli.main(["simulate", "--config", config, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run"]
 
 
 class TestModelInfo:
@@ -373,13 +394,14 @@ class TestSweep:
 
     def test_scalars_round_trip_through_the_csv(self, sweep_csv, model):
         from dspqsl import dsp_core
+        from helpers import dissipated_heat, qsl_time
 
         _, rows = sweep_csv
         for row in rows[::97]:
             arrangement = np.array([float(v) for v in row[2].split(";")])
             rho0 = dsp_core.state_from_populations(model.eigensystem, arrangement)
-            qsl = dsp_core.qsl_time(model, rho0)
-            heat = dsp_core.dissipated_heat(model, rho0)
+            qsl = qsl_time(model, rho0)
+            heat = dissipated_heat(model, rho0)
             entropy = dsp_core.entropy_change(arrangement)
             for parsed, recomputed in (
                 (float(row[4]), qsl.t_qsl),
@@ -483,7 +505,8 @@ class TestOptimize:
         assert "agreement: true" in capsys.readouterr().out
         lam = cli.resolve_populations(cli.parse_config(config), model)
         reports = optimizer.enumerate_permutations(lam, model)
-        assert optimizer.lexicographic_select(reports) in optimizer.pareto_front(reports)
+        winner = optimizer.lexicographic_select(reports)
+        assert optimizer.pareto_mask(reports)[reports.index(winner)]
 
 
 # Replacement values for config keys: wrong types, non-finite and oversized numbers.

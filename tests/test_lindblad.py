@@ -117,7 +117,7 @@ class TestEvolve:
         traj = lindblad.evolve(model, np.eye(6) / 6, t_end=500.0)
         assert abs(traj.fidelities[0] - 1 / 6) < 1e-12
         assert np.all(np.diff(traj.fidelities) > -1e-9)
-        assert traj.final_fidelity > traj.fidelities[0]
+        assert traj.fidelities[-1] > traj.fidelities[0]
 
     def test_record_grid(self, model, demo_state):
         traj = lindblad.evolve(model, demo_state, t_end=10.0, step=0.05, stride=20)
@@ -202,7 +202,6 @@ class TestRecordStepperAgainstOracle:
             times, states = rk4_reference(model, rho0, self.T_END, 0.05, stride)
             assert np.array_equal(batch.times, times)
             assert np.max(np.abs(batch.fidelities[b] - target_fidelities(model, states))) < 1e-12
-            assert np.max(np.abs(batch.final_states[b] - states[-1])) < 1e-12
 
     @pytest.mark.parametrize(
         "step, stride",
@@ -233,7 +232,6 @@ class TestEvolveBatch:
         batch = lindblad.evolve_batch(model, demo_state[None], t_end=200.0)
         assert np.array_equal(batch.times, traj.times)
         assert np.max(np.abs(batch.fidelities[0] - traj.fidelities)) < 1e-12
-        assert qmat.frobenius_norm(batch.final_states[0] - traj.final_state) < 1e-11
 
     def test_batch_diagnostics_bounded(self, model, demo_pops):
         basis = model.eigensystem
@@ -315,7 +313,6 @@ class TestSuperposedBatchAgainstOracle:
         want = evolve_batch_direct(model, stack, self.T_END, step=0.05, stride=stride)
         assert np.array_equal(got.times, want.times)
         assert np.max(np.abs(got.fidelities - want.fidelities)) < 1e-12
-        assert np.max(np.abs(got.final_states - want.final_states)) < 1e-12
         assert np.max(np.abs(got.max_trace_dev - want.max_trace_dev)) < self.TRACE_ROUNDOFF
         assert np.all(got.max_herm_defect >= want.max_herm_defect - self.HERM_ROUNDOFF)
         assert np.all(got.min_eigenvalue <= want.min_eigenvalue + self.EIG_ROUNDOFF)

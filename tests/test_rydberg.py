@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dspqsl import dsp_core, qmat, rydberg
+from helpers import analytic_eigenbasis
 
 IDX = {label: k for k, label in enumerate(rydberg.BASIS_LABELS)}
 
@@ -57,8 +58,9 @@ class TestJumpOperators:
 
 class TestModelAssembly:
     def test_dark_state_conditions(self, model):
-        report = dsp_core.verify_dsp_conditions(model, tol=1e-12)
-        assert report.passes
+        report = dsp_core.verify_dsp_conditions(model)
+        assert report.eigen_residual < 1e-12
+        assert all(r < 1e-12 for r in report.jump_residuals)
 
     def test_pump_operator_identity(self, model):
         # sum_mu gamma_mu L^dag rho_f L = (gamma/4)(|0r><0r| + |r0><r0|)
@@ -95,20 +97,20 @@ class TestModelAssembly:
 
 class TestAnalyticEigenbasis:
     def test_matches_numerical_eigenvalues(self, model):
-        analytic = rydberg.analytic_eigenbasis()
+        analytic = analytic_eigenbasis()
         assert np.max(np.abs(analytic.eigenvalues - model.eigensystem.eigenvalues)) < 1e-10
 
     def test_closed_form_values(self):
-        analytic = rydberg.analytic_eigenbasis()
+        analytic = analytic_eigenbasis()
         s = math.hypot(0.02, 0.02)
         assert np.allclose(analytic.eigenvalues, [-s, -0.02, 0.0, 0.0, 0.02, s], atol=1e-15)
 
     def test_bell_state_sits_at_slot_four(self):
-        analytic = rydberg.analytic_eigenbasis()
+        analytic = analytic_eigenbasis()
         assert abs(abs(analytic.vector(4).conj() @ rydberg.bell_target()) - 1.0) < 1e-14
 
     def test_orthonormal(self):
-        v = rydberg.analytic_eigenbasis().vectors
+        v = analytic_eigenbasis().vectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(6))) < 1e-12
 
     @pytest.mark.parametrize(
@@ -122,12 +124,12 @@ class TestAnalyticEigenbasis:
     )
     def test_columns_are_eigenvectors(self, params):
         h = rydberg.build_hamiltonian(params)
-        es = rydberg.analytic_eigenbasis(params)
+        es = analytic_eigenbasis(params)
         residual = h @ es.vectors - es.vectors * es.eigenvalues
         assert np.max(np.abs(residual)) < 1e-15
 
     def test_degenerate_cluster_spans_agree(self, model):
-        analytic = rydberg.analytic_eigenbasis()
+        analytic = analytic_eigenbasis()
         numeric = model.eigensystem
         groups = {}
         for k, e in enumerate(analytic.eigenvalues):
@@ -145,7 +147,7 @@ class TestAnalyticEigenbasis:
 
     def test_rejects_fully_degenerate_params(self):
         with pytest.raises(ValueError, match="zero"):
-            rydberg.analytic_eigenbasis(rydberg.RydbergParams(omega2=0.0, omega=0.0))
+            analytic_eigenbasis(rydberg.RydbergParams(omega2=0.0, omega=0.0))
 
 
 class TestThermalPopulations:
@@ -161,7 +163,7 @@ class TestThermalPopulations:
         assert np.all(np.isfinite(lam))
 
     def test_rydberg_spectrum_gibbs_weights(self):
-        energies = rydberg.analytic_eigenbasis().eigenvalues
+        energies = analytic_eigenbasis().eigenvalues
         lam = rydberg.thermal_populations(20.0, energies)
         s = math.hypot(0.02, 0.02)
         manual = np.exp(-20.0 * np.array([-s, -0.02, 0.0, 0.0, 0.02, s]))

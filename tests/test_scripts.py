@@ -1,4 +1,5 @@
-"""Smoke tests: both study scripts run end to end on a short horizon."""
+"""Both study scripts run end to end on a short horizon, and the scores
+they print agree with the dense-state oracles."""
 
 import os
 import subprocess
@@ -7,8 +8,32 @@ from pathlib import Path
 
 import pytest
 
+from dspqsl import dsp_core, optimizer, rydberg
+from helpers import dissipated_heat, enumerate_permutations_reference, pareto_mask_reference
+
 ROOT = Path(__file__).resolve().parents[1]
 CURVES = ["curve_A.csv", "curve_B.csv", "curve_C.csv"]
+
+
+@pytest.fixture(scope="module")
+def run_script(tmp_path_factory):
+    """Run a script once per module with `--t-end 20`; gives (outdir, stdout)."""
+    runs = {}
+
+    def run(script):
+        if script not in runs:
+            outdir = tmp_path_factory.mktemp(Path(script).stem)
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script),
+                 "--t-end", "20", "--outdir", str(outdir)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[script] = outdir, proc.stdout
+        return runs[script]
+
+    return run
 
 
 @pytest.mark.parametrize(
@@ -18,12 +43,26 @@ CURVES = ["curve_A.csv", "curve_B.csv", "curve_C.csv"]
         ("run_thermal_study.py", ["sweep_scores.csv", *CURVES]),
     ],
 )
-def test_script_writes_its_outputs(tmp_path, script, outputs):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--t-end", "20", "--outdir", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_script_writes_its_outputs(run_script, script, outputs):
+    outdir, _ = run_script(script)
     for name in outputs:
-        assert (tmp_path / name).stat().st_size > 0
+        assert (outdir / name).stat().st_size > 0
+
+
+def test_thermal_heats_match_the_dense_oracle(run_script, model):
+    # The script's defaults: beta = 20 on the demo model (gamma = 0.03).
+    _, stdout = run_script("run_thermal_study.py")
+    lam = rydberg.thermal_populations(20.0, model.eigensystem.eigenvalues)
+    heats = {}
+    for label in "ABC":
+        arranged = optimizer.apply_permutation(lam, optimizer.named_permutation(label, lam, model))
+        rho0 = dsp_core.state_from_populations(model.eigensystem, arranged)
+        heats[label] = dissipated_heat(model, rho0)
+    expected = "heats: " + ", ".join(f"Q({k}) = {v:+.6e}" for k, v in heats.items())
+    assert expected in stdout.splitlines()
+
+
+def test_pareto_front_size_matches_the_oracle(run_script, model, demo_pops):
+    _, stdout = run_script("run_permutation_study.py")
+    front = pareto_mask_reference(enumerate_permutations_reference(demo_pops, model))
+    assert f"pareto front size: {int(front.sum())} of 720" in stdout.splitlines()
