@@ -235,22 +235,8 @@ def _load_custom_model(raw: dict | None) -> ModelSpec:
     )
     gamma_ref = None if raw.get("gamma_ref") is None else _number(raw, "gamma_ref", None)
     try:
-        target = qmat.as_ket(target)
-        eig = qmat.hermitian_eigensystem(h, target=target)
-        overlaps = np.abs(eig.vectors.conj().T @ target)
-        target_index = int(np.argmax(overlaps)) + 1
-        return ModelSpec(
-            h_s=h,
-            jump_ops=jumps,
-            rates=rates,
-            target=target,
-            eigensystem=eig,
-            target_index=target_index,
-            gamma_ref=gamma_ref,
-        )
+        return ModelSpec(h_s=h, jump_ops=jumps, rates=rates, target=target, gamma_ref=gamma_ref)
     except ValueError as exc:
-        if isinstance(exc, ModelError):
-            raise
         raise ConfigError(f"cannot build custom model: {exc}") from exc
 
 
@@ -292,25 +278,18 @@ def resolve_permutations(
     return [("explicit", tuple(i - 1 for i in indices))]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12e}"
-
-
 def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Comma-separated, %.12e floats, LF endings, trailing newline.
+    """Comma-separated, LF endings, trailing newline.
 
-    A row given as a string is a line already formatted and is written as is.
-    Rows are streamed to the file, so a generator is never held in memory.
+    A tuple row holds one float per column and is written with one %.12e
+    template per file; a row given as a string is a line already formatted
+    and is written as is. Rows are streamed to the file, so a generator is
+    never held in memory.
     """
+    line = ",".join(["%.12e"] * len(header)) + "\n"
     with Path(path).open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(
-            (row if isinstance(row, str) else ",".join(map(_fmt, row))) + "\n" for row in rows
-        )
+        fh.writelines(row + "\n" if isinstance(row, str) else line % tuple(row) for row in rows)
 
 
 def _out_path(cfg: RunConfig, default: str) -> Path:
@@ -356,6 +335,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = _out_path(cfg, "trajectory.csv")
     if out.is_dir():  # several labels would write siblings of it, outside it
         raise ConfigError(f"cannot write output: {out} is a directory")
+    if not out.parent.is_dir():  # found before any trajectory is integrated
+        raise ConfigError(f"cannot write output: the directory of {out} does not exist")
     gamma_ref = model.gamma_ref if model.gamma_ref is not None else float("nan")
     step = cfg.step if cfg.step is not None else lindblad.default_step(model)
     try:
@@ -385,28 +366,33 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def _score_arrangements(cfg: RunConfig):
+    """The strict model, its population multiset and every distinct arrangement's report."""
     model = load_model(cfg)
     lam = resolve_populations(cfg, model)
     try:
-        reports = optimizer.enumerate_permutations(lam, model, g=cfg.g)
+        return model, lam, optimizer.enumerate_permutations(lam, model, g=cfg.g)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def cmd_sweep(cfg: RunConfig) -> int:
+    model, lam, reports = _score_arrangements(cfg)
     mask = optimizer.pareto_mask(reports)
     gamma_ref = model.gamma_ref if model.gamma_ref is not None else float("nan")
     # Every column but heat and objective_w depends on one input index:
     # format those once per index and each row as one line.
     slot = model.target_index - 1
     index_s = [str(i + 1) for i in range(lam.size)]
-    pop_s = [_fmt(v) for v in reports[0].arrangement]  # the identity comes first
+    pop_s = [f"{v:.12e}" for v in reports[0].arrangement]  # the identity comes first
     by_target = {}
     for r in reports:
         i = r.permutation[slot]
         if i not in by_target:
-            by_target[i] = ",".join(
-                map(_fmt, (r.lambda_target, r.t_qsl, r.t_qsl * gamma_ref, r.t_qsl_2))
+            by_target[i] = "%.12e,%.12e,%.12e,%.12e" % (
+                r.lambda_target, r.t_qsl, r.t_qsl * gamma_ref, r.t_qsl_2
             )
-    entropy_s = _fmt(reports[0].entropy)
+    entropy_s = f"{reports[0].entropy:.12e}"
     rows = (
         f"{k},{'-'.join(map(index_s.__getitem__, r.permutation))},"
         f"{';'.join(map(pop_s.__getitem__, r.permutation))},"
@@ -434,12 +420,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
-    model = load_model(cfg)
-    lam = resolve_populations(cfg, model)
-    try:
-        reports = optimizer.enumerate_permutations(lam, model, g=cfg.g)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model, lam, reports = _score_arrangements(cfg)
     winner = optimizer.lexicographic_select(reports)
     analytic_perm = optimizer.optimal_permutation(lam, model)
     analytic_arrangement = tuple(float(v) for v in optimizer.apply_permutation(lam, analytic_perm))

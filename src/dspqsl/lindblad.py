@@ -13,7 +13,7 @@ are tested against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,41 +81,44 @@ class IntegrationError(RuntimeError):
 class ModelSpec:
     """Dissipative model with a pure target state.
 
-    `target_index` is the 1-based slot of the target in the ascending
-    eigenbasis (the ordered-basis convention used throughout). `gamma_ref`
-    is an optional reference damping rate used only for unit conversion in
-    reports.
+    It derives `eigensystem`, the ascending eigenbasis of `h_s` with the
+    target aligned in its degenerate cluster at the 1-based slot
+    `target_index`; left out, that is the slot whose eigenvector overlaps
+    the target most. `gamma_ref` is an optional reference damping rate used
+    only for unit conversion in reports.
     """
 
     h_s: np.ndarray
     jump_ops: list[np.ndarray]
     rates: list[float]
     target: np.ndarray
-    eigensystem: EigenSystem
-    target_index: int
+    target_index: int | None = None
     gamma_ref: float | None = None
+    eigensystem: EigenSystem = field(init=False)
 
     def __post_init__(self):
         self.h_s = qmat.as_complex_matrix(self.h_s)
         d = self.h_s.shape[0]
-        scale = max(1.0, qmat.frobenius_norm(self.h_s))
-        if qmat.hermiticity_defect(self.h_s) > qmat.HERMITICITY_RTOL * scale:
-            raise ModelError("Hamiltonian is not Hermitian")
         self.jump_ops = [qmat.as_complex_matrix(l) for l in self.jump_ops]
         if any(l.shape[0] != d for l in self.jump_ops):
             raise ModelError("jump operator dimension mismatch")
         self.rates = [float(g) for g in self.rates]
         if len(self.rates) != len(self.jump_ops):
             raise ModelError("one rate per jump operator required")
-        if any(g < 0 for g in self.rates):
-            raise ModelError("rates must be nonnegative")
+        if not all(0.0 <= g < math.inf for g in self.rates):  # NaN fails both
+            raise ModelError("rates must be finite and nonnegative")
         self.target = qmat.as_ket(self.target)
         if self.target.shape[0] != d:
             raise ModelError("target dimension mismatch")
-        if self.eigensystem.dim != d:
-            raise ModelError("eigensystem dimension mismatch")
-        if not 1 <= self.target_index <= d:
+        if self.target_index is not None and not 1 <= self.target_index <= d:
             raise ModelError(f"target_index {self.target_index} outside 1..{d}")
+        try:
+            self.eigensystem = qmat.hermitian_eigensystem(self.h_s, self.target, self.target_index)
+        except ValueError as exc:  # a non-Hermitian Hamiltonian
+            raise ModelError(str(exc)) from None
+        if self.target_index is None:
+            overlaps = np.abs(self.eigensystem.vectors.conj().T @ self.target)
+            self.target_index = int(np.argmax(overlaps)) + 1
 
     @property
     def dim(self) -> int:
@@ -163,19 +166,18 @@ def lindblad_rhs(model: ModelSpec, rho) -> np.ndarray:
 
 
 def rhs_matrix(model: ModelSpec) -> np.ndarray:
-    """Matrix of `lindblad_rhs` acting on row-major vectorized states."""
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
-    h = model.h_s
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for g, l in zip(model.rates, model.jump_ops):
-        if g == 0.0:
-            continue
-        ldl = l.conj().T @ l
-        gen += g * (
-            np.kron(l, l.conj())
-            - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-        )
+    """Matrix of `lindblad_rhs` acting on row-major vectorized states.
+
+    rho' = K rho + rho (iH - D) + sum_mu gamma_mu L rho L^dag with
+    D = sum_mu gamma_mu L^dag L / 2 and the effective Hamiltonian K = -iH - D;
+    row-major vec(A rho B) = (A kron B^T) vec(rho), so n channels cost 2 + n krons.
+    """
+    eye = np.eye(model.dim, dtype=complex)
+    channels = [(g, l) for g, l in zip(model.rates, model.jump_ops) if g != 0.0]
+    decay = 0.5 * sum((g * (l.conj().T @ l) for g, l in channels), np.zeros_like(eye))
+    gen = np.kron(-1j * model.h_s - decay, eye) + np.kron(eye, (1j * model.h_s - decay).T)
+    for g, l in channels:
+        gen += g * np.kron(l, l.conj())
     return gen
 
 

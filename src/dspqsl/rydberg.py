@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmat
 from .lindblad import ModelSpec
 
 __all__ = [
@@ -88,15 +87,11 @@ def build_model(params: RydbergParams | None = None) -> ModelSpec:
     """Assemble the model: each decay channel carries rate gamma/2 so the
     dissipator totals gamma/2 * sum_mu D[L_mu]."""
     p = params if params is not None else RydbergParams()
-    h = build_hamiltonian(p)
-    phi = bell_target()
-    eig = qmat.hermitian_eigensystem(h, target=phi, target_index=TARGET_INDEX)
     model = ModelSpec(
-        h_s=h,
+        h_s=build_hamiltonian(p),
         jump_ops=build_jump_ops(),
         rates=[p.gamma / 2.0] * 4,
-        target=phi,
-        eigensystem=eig,
+        target=bell_target(),
         target_index=TARGET_INDEX,
         gamma_ref=p.gamma,
     )

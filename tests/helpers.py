@@ -213,8 +213,6 @@ def dark_state_model(
     slot = target_index - 1
     phi = np.zeros(n, dtype=complex)
     phi[slot] = 1.0
-    h = np.diag(e).astype(complex)
-    eig = qmat.hermitian_eigensystem(h, target=phi, target_index=target_index)
     if n == 1:
         jumps, rates = [], []
     else:
@@ -223,11 +221,10 @@ def dark_state_model(
         l[slot, src] = 1.0
         jumps, rates = [l], [rate]
     return ModelSpec(
-        h_s=h,
+        h_s=np.diag(e).astype(complex),
         jump_ops=jumps,
         rates=rates,
         target=phi,
-        eigensystem=eig,
         target_index=target_index,
     )
 

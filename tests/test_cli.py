@@ -182,6 +182,22 @@ class TestMalformedConfigs:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run"]
 
+    @pytest.mark.parametrize("labels", [["A"], ["A", "B", "C"]], ids=["one-label", "three-labels"])
+    def test_missing_directory_out_is_refused_before_integrating(
+        self, tmp_path, capsys, monkeypatch, labels
+    ):
+        out = tmp_path / "missing" / "x.csv"
+        config = write_config(tmp_path, permutation=labels, t_end=10.0)
+        monkeypatch.setattr(lindblad, "evolve", no_integration)
+        code = cli.main(["simulate", "--config", config, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.err == (
+            f"config error: cannot write output: the directory of {out} does not exist\n"
+        )
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
 
 class TestModelInfo:
     def test_rydberg_report(self, tmp_path, capsys):
@@ -262,14 +278,18 @@ class TestModelInfo:
 class TestWriteCsv:
     @pytest.mark.parametrize("n_rows", [0, 5])
     def test_streamed_bytes_equal_the_joined_text(self, tmp_path, n_rows):
-        header = ["id", "label", "value"]
+        header = ["t", "value", "rate"]
 
         def rows():
             for k in range(n_rows):
-                yield f"{k},preformatted,{k / 3:.12e}" if k % 2 else (np.int64(k), "tuple", k / 7)
+                yield f"{k},preformatted,{k / 3:.12e}" if k % 2 else (
+                    float(k), np.float64(-k / 7), (math.nan, -0.0, math.inf)[k % 3]
+                )
 
         lines = [",".join(header)]
-        lines.extend(r if isinstance(r, str) else ",".join(map(cli._fmt, r)) for r in rows())
+        lines.extend(
+            r if isinstance(r, str) else ",".join(f"{float(v):.12e}" for v in r) for r in rows()
+        )
         (tmp_path / "joined.csv").write_text("\n".join(lines) + "\n")
         cli.write_csv(tmp_path / "streamed.csv", header, rows())
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dspqsl import dsp_core, lindblad, qmat, rydberg
-from helpers import dark_state_model, evolve_batch_direct, random_density, rk4_reference
+from helpers import (
+    dark_state_model,
+    evolve_batch_direct,
+    random_density,
+    random_hermitian,
+    rk4_reference,
+)
 
 
 @pytest.fixture()
@@ -76,9 +82,10 @@ class TestModelSpec:
         with pytest.raises(lindblad.ModelError, match="Hermitian"):
             dataclasses.replace(model, h_s=h)
 
-    def test_rejects_negative_rate(self, model):
-        with pytest.raises(lindblad.ModelError, match="nonnegative"):
-            dataclasses.replace(model, rates=[-0.1] * 4)
+    @pytest.mark.parametrize("rate", [-0.1, np.nan, np.inf])
+    def test_rejects_negative_rate(self, model, rate):
+        with pytest.raises(lindblad.ModelError, match="rates must be finite and nonnegative"):
+            dataclasses.replace(model, rates=[rate] * 4)
 
     def test_rejects_rate_count_mismatch(self, model):
         with pytest.raises(lindblad.ModelError, match="one rate per"):
@@ -87,6 +94,22 @@ class TestModelSpec:
     def test_rejects_bad_target_index(self, model):
         with pytest.raises(lindblad.ModelError, match="target_index"):
             dataclasses.replace(model, target_index=7)
+
+    def test_replaced_hamiltonian_gets_its_own_eigenbasis(self, model):
+        rng = np.random.default_rng(7)
+        h2 = random_hermitian(rng, 6)
+        replaced = dataclasses.replace(model, h_s=h2)
+        assert np.allclose(replaced.eigensystem.eigenvalues, np.linalg.eigvalsh(h2), atol=1e-12)
+        assert not np.allclose(replaced.eigensystem.eigenvalues, model.eigensystem.eigenvalues)
+
+    @pytest.mark.parametrize("slot", [1, 2, 3])
+    def test_target_index_defaults_to_the_largest_overlap(self, slot):
+        # A target tilted off the eigenvector at `slot` overlaps it most.
+        target = np.full(3, 0.1, dtype=complex)
+        target[slot - 1] = 1.0
+        model = lindblad.ModelSpec(np.diag([-1.0, 0.5, 2.0]), [], [], target)
+        assert model.target_index == slot
+        assert model.target_energy == [-1.0, 0.5, 2.0][slot - 1]
 
     def test_alignment_check_catches_wrong_target(self, model):
         e0 = np.zeros(6)
