@@ -23,6 +23,7 @@ __all__ = [
     "PermutationReport",
     "apply_permutation",
     "enumerate_permutations",
+    "front_candidates",
     "lexicographic_select",
     "named_permutation",
     "objective_w",
@@ -87,45 +88,70 @@ def enumerate_permutations(
     as arrays: the bounds depend on the value in the target slot alone, the
     heat is `arrangement . E - E_target`.
     """
-    lam = dsp_core.as_populations(populations)
+    lam = _populations(populations, model)
     n = lam.size
-    if n != model.dim:
-        raise ValueError("population count does not match the model dimension")
     if n > MAX_ENUMERATION_DIM:
         raise ValueError(
             f"refusing to enumerate {math.factorial(n)} permutations "
             f"(dimension {n} exceeds {MAX_ENUMERATION_DIM})"
         )
-    a = dsp_core.coefficient_a(model)
-    entropy = dsp_core.entropy_change(lam)
-    slot = model.target_index - 1
-    # One tuple of floats shared by every arrangement and lambda_target.
     values = tuple(lam.tolist())
-    bounds = [dsp_core.qsl_times_from_overlap(v, a) for v in values]
-
     perms = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n))),
         dtype=np.int8,
         count=n * math.factorial(n),
     ).reshape(-1, n)
     keep = _canonical_mask(perms, values)
-    perms = perms[keep]
+    perms, canonical = perms[keep], keep.tolist()
+    rows = (itertools.compress(itertools.permutations(range(n)), canonical),
+            itertools.compress(itertools.permutations(values), canonical))
+    return _score(lam, model, g, perms, rows)
+
+
+def front_candidates(populations, model, g: float = DEFAULT_HEAT_WEIGHT) -> list[PermutationReport]:
+    """One report per distinct population value, in decreasing value: that
+    value on the target slot, the rest decreasing against increasing energy.
+
+    The bounds depend on the target value alone, and this passive tail has
+    the least heat for it (rearrangement inequality; Pusz and Woronowicz
+    1978), so these at most d hold the (bound, heat) optimum of all d!
+    arrangements. Each equals its arrangement's `enumerate_permutations` report.
+    """
+    lam = _populations(populations, model)
+    decreasing = np.argsort(-lam, kind="stable")
+    firsts = np.unique(-lam, return_index=True)[1]
+    perms = np.empty((firsts.size, lam.size), dtype=np.intp)
+    for perm, first in zip(perms, firsts):
+        order = np.insert(decreasing[decreasing != first], model.target_index - 1, first)
+        # Canonical: equal values take increasing input indices in slot order.
+        perm[np.argsort(-lam[order], kind="stable")] = decreasing
+    return _score(lam, model, g, perms)
+
+
+def _populations(populations, model) -> np.ndarray:
+    lam = dsp_core.as_populations(populations)
+    if lam.size != model.dim:
+        raise ValueError("population count does not match the model dimension")
+    return lam
+
+
+def _score(lam, model, g: float, perms: np.ndarray, rows=None) -> list[PermutationReport]:
+    """Report each row of `lam[perms]`; `rows` holds (permutations, arrangements), else `perms`."""
+    a = dsp_core.coefficient_a(model)
+    entropy = dsp_core.entropy_change(lam)
+    slot = model.target_index - 1
+    values = tuple(lam.tolist())
+    bounds = [dsp_core.qsl_times_from_overlap(v, a) for v in values]
+    if rows is None:
+        rows = map(tuple, perms.tolist()), map(tuple, lam[perms].tolist())
     # vecdot runs the one-vector dot kernel per row, so each heat is bitwise
     # `np.dot(arrangement, E) - E_target` and exact ties (degenerate levels)
     # break as for a single arrangement; lexicographic_select compares with ==.
     heat = np.vecdot(lam[perms], model.eigensystem.eigenvalues) - model.target_energy
     objective = objective_w(g, heat, lam[perms[:, slot]])
-    canonical = keep.tolist()
     return [
-        PermutationReport(
-            perm, arrangement, values[perm[slot]], *bounds[perm[slot]], q, entropy, w
-        )
-        for perm, arrangement, q, w in zip(
-            itertools.compress(itertools.permutations(range(n)), canonical),
-            itertools.compress(itertools.permutations(values), canonical),
-            heat.tolist(),
-            objective.tolist(),
-        )
+        PermutationReport(perm, arrangement, values[perm[slot]], *bounds[perm[slot]], q, entropy, w)
+        for perm, arrangement, q, w in zip(*rows, heat.tolist(), objective.tolist())
     ]
 
 
@@ -147,18 +173,11 @@ def optimal_permutation(populations, model) -> Permutation:
     equal values keep their input order (stable).
     """
     lam = dsp_core.as_populations(populations)
-    n = lam.size
     slot = model.target_index - 1
-    if not 0 <= slot < n:
+    if not 0 <= slot < lam.size:
         raise ValueError("model target index outside the population range")
     decreasing = np.argsort(-lam, kind="stable")
-    perm: list[int | None] = [None] * n
-    perm[slot] = int(decreasing[0])
-    rest = (int(i) for i in decreasing[1:])
-    for k in range(n):
-        if perm[k] is None:
-            perm[k] = next(rest)
-    return tuple(perm)  # type: ignore[arg-type]
+    return tuple(int(i) for i in np.insert(decreasing[1:], slot, decreasing[0]))
 
 
 def passive_permutation(populations) -> Permutation:

@@ -41,6 +41,30 @@ def write_config(tmp_path, name="config.json", **overrides):
     return str(path)
 
 
+def pairs(m):
+    """A real matrix or vector as the config's [re, im] pairs."""
+    m = np.asarray(m, dtype=float)
+    return np.stack([m, np.zeros_like(m)], axis=-1).tolist()
+
+
+def diagonal_custom(energies, target, sources):
+    """Custom model H = diag(energies) with unit-rate jumps |target><m| for
+    each source m; `target` and `sources` are 0-based."""
+    n = len(energies)
+    jumps = []
+    for m in sources:
+        jump = np.zeros((n, n))
+        jump[target, m] = 1.0
+        jumps.append(pairs(jump))
+    return {
+        "dim": n,
+        "hamiltonian": pairs(np.diag(energies)),
+        "jump_ops": jumps,
+        "rates": [1.0] * len(sources),
+        "target": pairs(np.eye(n)[target]),
+    }
+
+
 def no_integration(*args, **kwargs):
     """Stand-in for `lindblad.evolve` where a run must be refused first."""
     raise AssertionError("integrated a run that should have been refused")
@@ -516,6 +540,35 @@ class TestOptimize:
         code = cli.main(["optimize", "--config", write_config(tmp_path)])
         assert code == cli.EXIT_DISAGREEMENT
         assert "agreement: FALSE" in capsys.readouterr().out
+
+    def test_tied_optima_at_degenerate_energies_agree(self, tmp_path, capsys):
+        # Levels 1-3 share E = 0, so the arrangement (2, 3, 3, 1)/9 ties the
+        # analytic (3, 3, 2, 1)/9 in bound and heat exactly. The winner is the
+        # analytic one, not the lexicographically first of the tie.
+        level_4 = diagonal_custom([0.0, 0.0, 0.0, 1.0], target=1, sources=[0, 2, 3])
+        config = write_config(
+            tmp_path, model="custom", custom=level_4, populations=[2 / 9, 1 / 9, 3 / 9, 3 / 9]
+        )
+        assert cli.main(["optimize", "--config", config]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("analytic arrangement: ")
+        analytic = lines[0].removeprefix("analytic arrangement: ")
+        assert lines[2] == f"brute-force winner:   {analytic}"
+        assert lines[1].endswith("(6.666666666667e-01, 1.111111111111e-01)")
+        assert lines[4] == "agreement: true"
+
+    def test_dimension_12_needs_no_enumeration(self, tmp_path, capsys, monkeypatch):
+        def no_permutations(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(optimizer.itertools, "permutations", no_permutations)
+        level_12 = diagonal_custom(0.1 * np.arange(12), target=0, sources=[1])
+        populations = (np.arange(1, 13) / 78).tolist()
+        config = write_config(tmp_path, model="custom", custom=level_12, populations=populations)
+        code = cli.main(["optimize", "--config", config])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK, captured.err
+        assert captured.out.endswith("agreement: true\n")
 
     def test_bounds_apart_by_roundoff_are_not_tied(self, tmp_path, capsys, model):
         # The two largest populations give target bounds 8e-13 apart and the

@@ -89,6 +89,16 @@ class TestEnumeratePermutations:
             assert abs(w - rep.objective) < 1e-15
 
 
+def draw_tied_case(data, n, levels):
+    """Energies on a coarse grid repeat (degenerate spectra); small integer
+    weights repeat too (tied populations), zeros included."""
+    grid = st.integers(0, levels - 1)
+    energies = np.sort(data.draw(st.lists(grid, min_size=n, max_size=n))) * 0.37 - 0.5
+    weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    lam = np.array(weights, dtype=float) / sum(weights)
+    return energies, lam, dark_state_model(energies, target_index=data.draw(st.integers(1, n)))
+
+
 class TestAgainstReference:
     """The array enumerator and the sort-and-scan front against the
     dict-based enumerator and the pairwise front they replaced."""
@@ -100,15 +110,7 @@ class TestAgainstReference:
     )
     @settings(max_examples=60)
     def test_same_reports_front_and_winner(self, data, n, levels):
-        # Energies on a coarse grid repeat (degenerate spectra); small
-        # integer weights repeat too (tied populations), zeros included.
-        grid = st.integers(0, levels - 1)
-        energies = np.sort(data.draw(st.lists(grid, min_size=n, max_size=n))) * 0.37 - 0.5
-        weights = data.draw(
-            st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)
-        )
-        lam = np.array(weights, dtype=float) / sum(weights)
-        model = dark_state_model(energies, target_index=data.draw(st.integers(1, n)))
+        energies, lam, model = draw_tied_case(data, n, levels)
 
         fast = optimizer.enumerate_permutations(lam, model)
         slow = enumerate_permutations_reference(lam, model)
@@ -145,6 +147,37 @@ class TestAgainstReference:
             for ti, qi in zip(t, q)
         ]
         assert np.array_equal(optimizer.pareto_mask(reports), pareto_mask_reference(reports))
+
+
+class TestFrontCandidates:
+    """The at most d passive-tail candidates against the full enumeration."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 7),
+        levels=st.integers(1, 7),
+    )
+    @settings(max_examples=60)
+    def test_candidates_are_enumerated_reports_and_hold_the_winner(self, data, n, levels):
+        energies, lam, model = draw_tied_case(data, n, levels)
+        candidates = optimizer.front_candidates(lam, model)
+        everything = optimizer.enumerate_permutations(lam, model)
+        by_arrangement = {r.arrangement: r for r in everything}
+
+        slot = model.target_index - 1
+        assert sorted(c.lambda_target for c in candidates) == sorted(set(lam.tolist()))
+        for c in candidates:
+            assert c == by_arrangement[c.arrangement]
+            assert np.all(np.diff(np.delete(c.arrangement, slot)) <= 0)
+        fast = optimizer.lexicographic_select(candidates)
+        slow = optimizer.lexicographic_select(everything)
+        if np.unique(energies).size == n:
+            assert fast == slow
+        else:
+            # Tied optima: the same bound, and heats of equal value summed in
+            # another order.
+            assert fast.t_qsl == slow.t_qsl
+            assert abs(fast.heat - slow.heat) <= 1e-15 * (1.0 + np.abs(energies).max())
 
 
 class TestOptimalPermutation:
