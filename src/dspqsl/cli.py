@@ -234,6 +234,7 @@ def _load_custom_model(raw: dict | None) -> ModelSpec:
         f"custom.rates must be finite and nonnegative, got {rates_raw!r}",
     )
     gamma_ref = None if raw.get("gamma_ref") is None else _number(raw, "gamma_ref", None)
+    _expect(gamma_ref is None or gamma_ref > 0, f"custom.gamma_ref must be positive, got {gamma_ref}")
     try:
         return ModelSpec(h_s=h, jump_ops=jumps, rates=rates, target=target, gamma_ref=gamma_ref)
     except ValueError as exc:
@@ -296,12 +297,16 @@ def _out_path(cfg: RunConfig, default: str) -> Path:
     return Path(cfg.out if cfg.out else default)
 
 
-def _perm_string(perm) -> str:
-    return "-".join(str(i + 1) for i in perm)
-
-
 def _arrangement_string(arrangement) -> str:
     return ";".join(f"{v:.12e}" for v in arrangement)
+
+
+def _scoring_error(exc: ValueError, cfg: RunConfig) -> ConfigError:
+    """`exc` as a config error; an undefined bound names the keys that set A."""
+    if str(exc).startswith("QSL undefined"):
+        keys = "rydberg.gamma" if cfg.model == "rydberg" else "custom.rates and custom.jump_ops"
+        return ConfigError(f"{exc}: A is set by {keys}")
+    return ConfigError(str(exc))
 
 
 def cmd_model_info(cfg: RunConfig) -> int:
@@ -372,7 +377,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     try:
         reports = optimizer.enumerate_permutations(lam, model, g=cfg.g)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _scoring_error(exc, cfg) from exc
     mask = optimizer.pareto_mask(reports)
     gamma_ref = model.gamma_ref if model.gamma_ref is not None else float("nan")
     # Every column but heat and objective_w depends on one input index:
@@ -408,7 +413,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     winner = optimizer.lexicographic_select(reports)
     sys.stdout.write(
         f"wrote {path} ({len(reports)} arrangements); "
-        f"winner {_perm_string(winner.permutation)} "
+        f"winner {'-'.join(map(index_s.__getitem__, winner.permutation))} "
         f"t_qsl={winner.t_qsl:.12e} heat={winner.heat:.12e}\n"
     )
     return EXIT_OK
@@ -423,10 +428,9 @@ def cmd_optimize(cfg: RunConfig) -> int:
     lam = resolve_populations(cfg, model)
     try:
         winner = optimizer.lexicographic_select(optimizer.front_candidates(lam, model, g=cfg.g))
-        perm = np.array([optimizer.optimal_permutation(lam, model)])
-        (analytic,) = optimizer._score(lam, model, cfg.g, perm)
+        analytic = optimizer.optimal_report(lam, model, g=cfg.g)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise _scoring_error(exc, cfg) from exc
     agree = winner.arrangement == analytic.arrangement
 
     lines = [
@@ -438,20 +442,15 @@ def cmd_optimize(cfg: RunConfig) -> int:
     ]
     if cfg.out:
         payload = {
-            "analytic": {
-                "permutation": [i + 1 for i in analytic.permutation],
-                "arrangement": list(analytic.arrangement),
-                "t_qsl": analytic.t_qsl,
-                "heat": analytic.heat,
-            },
-            "winner": {
-                "permutation": [i + 1 for i in winner.permutation],
-                "arrangement": list(winner.arrangement),
-                "t_qsl": winner.t_qsl,
-                "heat": winner.heat,
-            },
-            "agreement": agree,
+            key: {
+                "permutation": [i + 1 for i in r.permutation],
+                "arrangement": list(r.arrangement),
+                "t_qsl": r.t_qsl,
+                "heat": r.heat,
+            }
+            for key, r in (("analytic", analytic), ("winner", winner))
         }
+        payload["agreement"] = agree
         Path(cfg.out).write_text(json.dumps(payload, indent=2) + "\n")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if agree else EXIT_DISAGREEMENT

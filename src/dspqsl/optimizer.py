@@ -28,6 +28,7 @@ __all__ = [
     "named_permutation",
     "objective_w",
     "optimal_permutation",
+    "optimal_report",
     "pareto_mask",
     "passive_permutation",
 ]
@@ -92,8 +93,8 @@ def enumerate_permutations(
     n = lam.size
     if n > MAX_ENUMERATION_DIM:
         raise ValueError(
-            f"refusing to enumerate {math.factorial(n)} permutations "
-            f"(dimension {n} exceeds {MAX_ENUMERATION_DIM})"
+            f"refusing to enumerate {math.factorial(n)} permutations of the {n} "
+            f"populations (dimension {n} exceeds {MAX_ENUMERATION_DIM})"
         )
     values = tuple(lam.tolist())
     perms = np.fromiter(
@@ -178,6 +179,12 @@ def optimal_permutation(populations, model) -> Permutation:
         raise ValueError("model target index outside the population range")
     decreasing = np.argsort(-lam, kind="stable")
     return tuple(int(i) for i in np.insert(decreasing[1:], slot, decreasing[0]))
+
+
+def optimal_report(populations, model, g: float = DEFAULT_HEAT_WEIGHT) -> PermutationReport:
+    """The report of the `optimal_permutation` arrangement."""
+    lam = _populations(populations, model)
+    return _score(lam, model, g, np.array([optimal_permutation(lam, model)]))[0]
 
 
 def passive_permutation(populations) -> Permutation:

@@ -109,14 +109,10 @@ class EigenSystem:
 
 def _degenerate_clusters(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
     """Half-open index ranges of runs of 2+ eigenvalues less than `gap` apart."""
-    clusters = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] >= gap:
-            if i - start > 1:
-                clusters.append((start, i))
-            start = i
-    return clusters
+    # Run starts where the gap is reached, with 0 and len(values) as edges.
+    edges = np.flatnonzero(np.concatenate(([True], np.diff(values) >= gap, [True])))
+    runs = np.diff(edges) > 1
+    return list(zip(edges[:-1][runs].tolist(), edges[1:][runs].tolist()))
 
 
 def _align_cluster_to_target(
@@ -127,48 +123,31 @@ def _align_cluster_to_target(
 ) -> None:
     """Rotate the one of `clusters` that holds most of `target` onto it.
 
-    Within the chosen cluster one basis vector is replaced by the normalized
-    projection of the target, placed at `target_index` (1-based) when that
-    slot lies inside the cluster, and the remaining vectors are rebuilt by
-    Gram-Schmidt so the cluster stays orthonormal.
+    The complete Householder QR of the target's overlaps c with the cluster
+    gives a unitary Q whose first column lies along c, so the cluster times
+    Q is the target's normalized projection and an orthonormal completion.
+    That column moves to `target_index` (1-based) if inside the cluster,
+    else to the slot of the largest overlap.
     """
     if not clusters:
         return
-    weights = []
-    for lo, hi in clusters:
-        overlaps = vecs[:, lo:hi].conj().T @ target
-        weights.append(float(np.sum(np.abs(overlaps) ** 2)))
+    overlaps = vecs.conj().T @ target
+    weights = [np.vdot(overlaps[lo:hi], overlaps[lo:hi]).real for lo, hi in clusters]
     best = int(np.argmax(weights))
     if weights[best] < 1e-12:
         return
     lo, hi = clusters[best]
-    block = vecs[:, lo:hi]
-    overlaps = block.conj().T @ target
-    proj = block @ overlaps
-    w = proj / np.linalg.norm(proj)
-
-    # Orthonormal completion of the cluster span against w.
-    basis = [w]
-    for k in range(block.shape[1]):
-        r = block[:, k].copy()
-        for b in basis:
-            r -= b * (b.conj() @ r)
-        norm = np.linalg.norm(r)
-        if norm > 1e-8:
-            basis.append(r / norm)
-        if len(basis) == block.shape[1]:
-            break
-
+    c = overlaps[lo:hi]
     if target_index is not None and lo <= target_index - 1 < hi:
-        slot = target_index - 1
+        slot = target_index - 1 - lo
     else:
-        slot = lo + int(np.argmax(np.abs(overlaps)))
-    others = iter(basis[1:])
-    for k in range(lo, hi):
-        vecs[:, k] = w if k == slot else next(others)
+        slot = int(np.argmax(np.abs(c)))
+    order = list(range(1, hi - lo))
+    order.insert(slot, 0)
+    vecs[:, lo:hi] = vecs[:, lo:hi] @ np.linalg.qr(c[:, None], mode="complete")[0][:, order]
 
 
-def _fix_phases(vecs: np.ndarray, skip: int | None = None) -> None:
+def _fix_phases(vecs: np.ndarray) -> None:
     """Make the leading component of each column real positive.
 
     The leading component is the first whose magnitude lies within
@@ -178,10 +157,7 @@ def _fix_phases(vecs: np.ndarray, skip: int | None = None) -> None:
     mags = np.abs(vecs)
     rows = np.argmax(mags >= (1.0 - PHASE_TIE_RTOL) * mags.max(axis=0), axis=0)
     lead = vecs[rows, np.arange(vecs.shape[1])]
-    phases = np.conj(lead) / np.abs(lead)
-    if skip is not None:
-        phases[skip] = 1.0
-    vecs *= phases
+    vecs *= np.conj(lead) / np.abs(lead)
 
 
 def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> EigenSystem:
@@ -189,13 +165,13 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
 
     One `np.linalg.eigh` call on the Hermitized matrix gives ascending
     eigenvalues and orthonormal eigenvector columns. Degenerate clusters
-    (gap < 1e-9) share their mean eigenvalue.
-    When `target` is given, the cluster holding most of the target is
-    rotated so that a single basis vector carries its full projection and
-    sits at the 1-based `target_index` if that slot falls inside the
-    cluster. Every other column has its leading component (the first
-    within a relative 1e-9 of the column's largest magnitude) made real
-    positive. Output is deterministic for identical input.
+    (gap < 1e-9) share their mean eigenvalue. Given `target`, one QR turns
+    the cluster holding most of it into the target's normalized projection,
+    at the 1-based `target_index` if that slot lies in the cluster, and a
+    completion from LAPACK's vectors of the cluster. Every column, the
+    target's included, then has its leading component (the first within a
+    relative 1e-9 of its largest modulus) made real positive. Output is
+    deterministic for identical input.
 
     Raises ValueError for non-Hermitian input (with the asymmetry norm) and
     ConvergenceError if LAPACK fails or the result misses the residual and
@@ -221,15 +197,12 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
     for lo, hi in clusters:
         vals[lo:hi] = vals[lo:hi].mean()
 
-    aligned_slot = None
     if target is not None:
         phi = as_ket(target)
         if phi.shape[0] != a.shape[0]:
             raise ValueError("target dimension does not match the matrix")
         _align_cluster_to_target(clusters, vecs, phi, target_index)
-        overlaps = np.abs(vecs.conj().T @ phi)
-        aligned_slot = int(np.argmax(overlaps))
-    _fix_phases(vecs, skip=aligned_slot)
+    _fix_phases(vecs)
 
     system = EigenSystem(eigenvalues=vals, vectors=vecs)
     _check_eigensystem(a, system)

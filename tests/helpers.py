@@ -118,6 +118,18 @@ def jacobi_eigensystem(m, target=None, target_index=None, **budget) -> qmat.Eige
         return qmat.hermitian_eigensystem(m, target=target, target_index=target_index)
 
 
+def degenerate_clusters_reference(values, gap: float) -> list[tuple[int, int]]:
+    """Oracle for `qmat._degenerate_clusters`: one pass over the sorted values."""
+    clusters = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] >= gap:
+            if i - start > 1:
+                clusters.append((start, i))
+            start = i
+    return clusters
+
+
 def trace_product(a, b) -> complex:
     """Tr(A B), the Hilbert-Schmidt pairing (relative purity for states).
 

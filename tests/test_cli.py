@@ -153,6 +153,8 @@ class TestMalformedConfigs:
             (custom(target=[[10**400, 0.0], [0.0, 0.0]]), [], "custom.target[0]"),
             ({"populations": [10**400] + [0.0] * 5}, [], "populations entries"),
             (custom(gamma_ref=10**400), [], "'gamma_ref'"),
+            (custom(gamma_ref=-0.5), [], "custom.gamma_ref must be positive, got -0.5"),
+            (custom(gamma_ref=0), [], "custom.gamma_ref must be positive, got 0.0"),
             ({"rydberg": {"omega": 10**400}}, [], "bad rydberg parameters"),
             ({"rydberg": {"omega": math.nan}}, [], "omega must be finite and nonnegative"),
             ({"rydberg": {"gamma": math.inf}}, [], "gamma must be finite and nonnegative"),
@@ -164,7 +166,8 @@ class TestMalformedConfigs:
             "cli-step-beyond-t_end", "infinite-t_end", "nan-beta", "boolean-stride",
             "too-many-records", "ragged-row", "three-element-pair", "string-entry",
             "wrong-row-count", "short-target", "malformed-jump-op", "overflowing-entry",
-            "overflowing-population", "overflowing-gamma_ref", "overflowing-rydberg-parameter",
+            "overflowing-population", "overflowing-gamma_ref", "negative-gamma_ref",
+            "zero-gamma_ref", "overflowing-rydberg-parameter",
             "nan-rydberg-omega", "infinite-rydberg-gamma", "cli-negative-step", "cli-infinite-t_end",
         ],
     )
@@ -176,6 +179,14 @@ class TestMalformedConfigs:
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error:") and err.count("\n") == 1
         assert needle in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = cli.main(["model-info", "--config", str(missing)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith(f"config error: cannot read config {missing}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["model-info", "simulate", "sweep", "optimize"])
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
@@ -297,6 +308,17 @@ class TestModelInfo:
         out = capsys.readouterr().out
         assert code == cli.EXIT_CONDITIONS
         assert "FAIL" in out
+
+    def test_strict_commands_refuse_the_failing_model(self, tmp_path, capsys, monkeypatch):
+        # model-info reports the failure; simulate refuses before integrating.
+        broken = dict(TWO_LEVEL_CUSTOM, target=[[0.0, 0.0], [1.0, 0.0]])
+        config = write_config(tmp_path, model="custom", custom=broken, permutation="A")
+        monkeypatch.setattr(lindblad, "evolve", no_integration)
+        code = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONDITIONS
+        assert captured.err.startswith("model error: model does not satisfy the dark-state")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 class TestWriteCsv:
@@ -469,7 +491,7 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert "QSL undefined" in err
+        assert "QSL undefined" in err and "custom.rates and custom.jump_ops" in err
 
     def test_dimension_10_refused_before_enumerating(self, tmp_path, capsys, monkeypatch):
         def no_permutations(*args):
@@ -495,7 +517,7 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert "3628800" in err
+        assert "3628800 permutations of the 10 populations" in err
         assert not out_path.exists()
 
 
@@ -540,6 +562,28 @@ class TestOptimize:
         code = cli.main(["optimize", "--config", write_config(tmp_path)])
         assert code == cli.EXIT_DISAGREEMENT
         assert "agreement: FALSE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command, overrides, keys",
+        [
+            (
+                "optimize",
+                dict(custom(rates=[0.0]), populations=[0.3, 0.7]),
+                "custom.rates and custom.jump_ops",
+            ),
+            ("sweep", {"rydberg": {"gamma": 0.0}}, "rydberg.gamma"),
+        ],
+        ids=["optimize-zero-rate-custom", "sweep-zero-gamma-rydberg"],
+    )
+    def test_undefined_bound_names_the_keys_behind_it(
+        self, tmp_path, capsys, command, overrides, keys
+    ):
+        config = write_config(tmp_path, **overrides)
+        code = cli.main([command, "--config", config, "--out", str(tmp_path / "x.out")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.err == f"config error: QSL undefined (A = 0): A is set by {keys}\n"
+        assert captured.out == ""
 
     def test_tied_optima_at_degenerate_energies_agree(self, tmp_path, capsys):
         # Levels 1-3 share E = 0, so the arrangement (2, 3, 3, 1)/9 ties the

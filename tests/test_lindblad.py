@@ -130,6 +130,11 @@ class TestDefaultStep:
         free = dataclasses.replace(free, jump_ops=[], rates=[])
         assert lindblad.default_step(free) == 0.05
 
+    def test_zero_hamiltonian_without_rates_falls_back_to_cap(self):
+        # No scale at all: the cap, not a division by zero.
+        idle = lindblad.ModelSpec(np.zeros((2, 2)), [], [], [1.0, 0.0])
+        assert lindblad.default_step(idle) == 0.05
+
 
 class TestEvolve:
     def test_fixed_point_stays_put(self, model):
@@ -171,6 +176,10 @@ class TestEvolve:
         bad = np.diag([1.1, -0.1, 0.0, 0.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="valid density"):
             lindblad.evolve(model, bad, t_end=10.0)
+
+    def test_rejects_a_state_of_another_dimension(self, model):
+        with pytest.raises(ValueError, match=r"\(B, 6, 6\) stack of states, got \(1, 2, 2\)"):
+            lindblad.evolve(model, np.eye(2) / 2, t_end=1.0)
 
     def test_rejects_bad_grid(self, model, demo_state):
         with pytest.raises(ValueError, match="step"):

@@ -205,6 +205,16 @@ class TestOptimalPermutation:
         )
         assert optimizer.optimal_permutation(arranged, model) == (0, 1, 2, 3, 4, 5)
 
+    def test_report_is_the_enumerated_report_of_its_arrangement(self, model):
+        lam = np.array([0.05, 0.3, 0.1, 0.2, 0.25, 0.1])
+        report = optimizer.optimal_report(lam, model)
+        assert report.permutation == optimizer.optimal_permutation(lam, model)
+        (enumerated,) = [
+            r for r in optimizer.enumerate_permutations(lam, model)
+            if r.arrangement == report.arrangement
+        ]
+        assert report == enumerated
+
 
 class TestPassivePermutation:
     def test_demo_multiset(self, demo_pops):
