@@ -186,20 +186,20 @@ def _expect_pair(pair, where: str) -> None:
 
 
 def load_model(cfg: RunConfig, strict: bool = True) -> ModelSpec:
-    """Build the configured model; with strict=True the dark-state
-    conditions and target alignment must hold."""
+    """Build the configured model; with strict=True it must pass
+    `dsp_core.verify_dsp_conditions`."""
     if cfg.model == "rydberg":
         model = rydberg.build_model(cfg.rydberg_params)
     else:
         model = _load_custom_model(cfg.custom)
     if strict:
-        model.check_target_alignment()
         report = dsp_core.verify_dsp_conditions(model)
         if not report.passes:
             raise ModelError(
                 "model does not satisfy the dark-state conditions: "
                 f"eigen residual {report.eigen_residual:.3e}, "
-                f"jump residuals {['%.3e' % r for r in report.jump_residuals]}"
+                f"jump residuals {['%.3e' % r for r in report.jump_residuals]}, "
+                f"target alignment defect {report.alignment_defect:.3e}"
             )
     return model
 
@@ -293,8 +293,16 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         fh.writelines(row + "\n" if isinstance(row, str) else line % tuple(row) for row in rows)
 
 
-def _out_path(cfg: RunConfig, default: str) -> Path:
-    return Path(cfg.out if cfg.out else default)
+def _out_path(cfg: RunConfig, default: str | None = None) -> Path | None:
+    """The output path, or None; refused before any work if it is a directory
+    (several simulate labels would write siblings of it) or in a missing one."""
+    out = cfg.out or default
+    path = Path(out) if out else None
+    if path and path.is_dir():
+        raise ConfigError(f"cannot write output: {path} is a directory")
+    if path and not path.parent.is_dir():
+        raise ConfigError(f"cannot write output: the directory of {path} does not exist")
+    return path
 
 
 def _arrangement_string(arrangement) -> str:
@@ -310,6 +318,7 @@ def _scoring_error(exc: ValueError, cfg: RunConfig) -> ConfigError:
 
 
 def cmd_model_info(cfg: RunConfig) -> int:
+    out = _out_path(cfg)
     model = load_model(cfg, strict=False)
     report = dsp_core.verify_dsp_conditions(model)
     a = dsp_core.coefficient_a(model)
@@ -318,30 +327,28 @@ def cmd_model_info(cfg: RunConfig) -> int:
         "eigenvalues: " + " ".join(f"{e:.12e}" for e in model.eigensystem.eigenvalues),
         f"target index: {model.target_index}",
         f"target energy: {model.target_energy:.12e}",
-        f"target alignment defect: {model.target_alignment_defect():.3e}",
+        f"target alignment defect: {report.alignment_defect:.3e}",
         f"eigen residual: {report.eigen_residual:.3e}",
         "jump residuals: " + " ".join(f"{r:.3e}" for r in report.jump_residuals),
         f"dark-state conditions: {'pass' if report.passes else 'FAIL'}",
         f"speed coefficient A: {a:.12e}",
     ]
-    if a <= 0.0:
-        lines.append("warning: QSL undefined (A = 0)")
+    try:
+        dsp_core.qsl_times_from_overlap(0.0, a)
+    except ValueError as exc:
+        lines.append(f"warning: {exc}")
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if out:
+        out.write_text(text)
     sys.stdout.write(text)
     return EXIT_OK if report.passes else EXIT_CONDITIONS
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    out = _out_path(cfg, "trajectory.csv")
     model = load_model(cfg)
     lam = resolve_populations(cfg, model)
     requested = resolve_permutations(cfg, lam, model)
-    out = _out_path(cfg, "trajectory.csv")
-    if out.is_dir():  # several labels would write siblings of it, outside it
-        raise ConfigError(f"cannot write output: {out} is a directory")
-    if not out.parent.is_dir():  # found before any trajectory is integrated
-        raise ConfigError(f"cannot write output: the directory of {out} does not exist")
     gamma_ref = model.gamma_ref if model.gamma_ref is not None else float("nan")
     step = cfg.step if cfg.step is not None else lindblad.default_step(model)
     try:
@@ -353,25 +360,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
         rho0 = dsp_core.state_from_populations(model.eigensystem, arranged)
         traj = lindblad.evolve(model, rho0, cfg.t_end, step=step, stride=cfg.stride)
         path = out if len(requested) == 1 else out.with_name(f"{out.stem}_{label}{out.suffix}")
-        rows = zip(
-            traj.times,
-            traj.times * gamma_ref,
-            traj.fidelities,
-            traj.angles,
-            traj.trace_devs,
-            traj.min_eigs,
-            traj.coherence_maxes,
-        )
-        write_csv(
-            path,
-            ["t", "t_gamma", "fidelity", "angle", "trace_dev", "min_eig", "max_coherence"],
-            rows,
-        )
+        header = ["t", "t_gamma", "fidelity", "angle", "trace_dev", "min_eig", "max_coherence"]
+        rows = zip(traj.times, traj.times * gamma_ref, traj.fidelities, traj.angles,
+                   traj.trace_devs, traj.min_eigs, traj.coherence_maxes)
+        write_csv(path, header, rows)
         sys.stdout.write(f"{label}: wrote {path} ({len(traj)} records)\n")
     return EXIT_OK
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    path = _out_path(cfg, "sweep.csv")
     model = load_model(cfg)
     lam = resolve_populations(cfg, model)
     try:
@@ -400,7 +398,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         f"{r.objective:.12e},{int(pareto)}"
         for k, (r, pareto) in enumerate(zip(reports, mask.tolist()), start=1)
     )
-    path = _out_path(cfg, "sweep.csv")
     write_csv(
         path,
         [
@@ -424,6 +421,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     winner among `optimizer.front_candidates`, which needs no enumeration;
     for tied optima that is the passive representative, not the
     lexicographically first tied arrangement that `sweep` names."""
+    out = _out_path(cfg)
     model = load_model(cfg)
     lam = resolve_populations(cfg, model)
     try:
@@ -440,7 +438,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
         f"winner (t_qsl, heat): ({winner.t_qsl:.12e}, {winner.heat:.12e})",
         f"agreement: {'true' if agree else 'FALSE'}",
     ]
-    if cfg.out:
+    if out:
         payload = {
             key: {
                 "permutation": [i + 1 for i in r.permutation],
@@ -451,7 +449,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
             for key, r in (("analytic", analytic), ("winner", winner))
         }
         payload["agreement"] = agree
-        Path(cfg.out).write_text(json.dumps(payload, indent=2) + "\n")
+        out.write_text(json.dumps(payload, indent=2) + "\n")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if agree else EXIT_DISAGREEMENT
 

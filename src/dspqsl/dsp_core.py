@@ -37,8 +37,12 @@ AT_TARGET_TOL = 1e-12
 # Slack absorbed in inequality checks (fixed-step RK4 has bounded local error).
 QSL_CHECK_SLACK = 1e-9
 
-# Largest residual of a dark-state condition that still passes.
+# Largest residual of a dark-state condition that still passes; the eigen
+# residual's is relative to max(1, ||H||_F).
 DARK_STATE_TOL = 1e-10
+
+# Largest |1 - |<E_{n*}|target>|^2| a model may have and still prepare its target.
+TARGET_ALIGNMENT_TOL = 1e-10
 
 
 def as_populations(values) -> np.ndarray:
@@ -56,28 +60,32 @@ def as_populations(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DspConditionReport:
-    """Residuals of the pure-fixed-point conditions."""
+    """Residuals of the pure-fixed-point conditions, the target's alignment
+    defect at its slot, and the verdict on all three."""
 
     eigen_residual: float
     jump_residuals: tuple[float, ...]
-
-    @property
-    def passes(self) -> bool:
-        return self.eigen_residual < DARK_STATE_TOL and all(
-            r < DARK_STATE_TOL for r in self.jump_residuals
-        )
+    alignment_defect: float
+    passes: bool
 
 
 def verify_dsp_conditions(model) -> DspConditionReport:
-    """Check H|phi> = E_{n*}|phi> and L_mu|phi> = 0 for every channel.
+    """Check H|phi> = E_{n*}|phi>, L_mu|phi> = 0 for every channel and that
+    phi is the eigenvector at slot n*: the one verdict on a model.
 
     Report-style: never raises for a failing model.
     """
     phi = model.target
-    energy = model.target_energy
-    eigen_residual = qmat.frobenius_norm(model.h_s @ phi - energy * phi)
+    eigen_residual = qmat.frobenius_norm(model.h_s @ phi - model.target_energy * phi)
     jump_residuals = tuple(qmat.frobenius_norm(l @ phi) for l in model.jump_ops)
-    return DspConditionReport(eigen_residual=eigen_residual, jump_residuals=jump_residuals)
+    overlap = model.eigensystem.vector(model.target_index).conj() @ phi
+    alignment_defect = float(abs(1.0 - abs(overlap) ** 2))
+    passes = (
+        eigen_residual < DARK_STATE_TOL * max(1.0, qmat.frobenius_norm(model.h_s))
+        and all(r < DARK_STATE_TOL for r in jump_residuals)
+        and alignment_defect <= TARGET_ALIGNMENT_TOL
+    )
+    return DspConditionReport(eigen_residual, jump_residuals, alignment_defect, passes)
 
 
 def coefficient_a(model) -> float:

@@ -40,9 +40,6 @@ TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
 
-# Largest |1 - |<E_{n*}|target>|^2| a model may have and still prepare its target.
-TARGET_ALIGNMENT_TOL = 1e-10
-
 # Fidelity may poke past [0, 1] by at most this much before aborting.
 FIDELITY_SLACK = 1e-9
 
@@ -85,7 +82,8 @@ class ModelSpec:
     target aligned in its degenerate cluster at the 1-based slot
     `target_index`; left out, that is the slot whose eigenvector overlaps
     the target most. `gamma_ref` is an optional reference damping rate used
-    only for unit conversion in reports.
+    only for unit conversion in reports. Whether the target is dark and the
+    eigenvector at its slot is `dsp_core.verify_dsp_conditions`'s verdict.
     """
 
     h_s: np.ndarray
@@ -131,19 +129,6 @@ class ModelSpec:
     @property
     def target_projector(self) -> np.ndarray:
         return np.outer(self.target, self.target.conj())
-
-    def target_alignment_defect(self) -> float:
-        """|1 - |<E_{n*}|target>|^2| for the slot at target_index."""
-        overlap = self.eigensystem.vector(self.target_index).conj() @ self.target
-        return abs(1.0 - abs(overlap) ** 2)
-
-    def check_target_alignment(self) -> None:
-        defect = self.target_alignment_defect()
-        if defect > TARGET_ALIGNMENT_TOL:
-            raise ModelError(
-                f"target is not the eigenvector at slot {self.target_index} "
-                f"(overlap defect {defect:.3e})"
-            )
 
 
 def lindblad_rhs(model: ModelSpec, rho) -> np.ndarray:

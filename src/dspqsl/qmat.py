@@ -28,9 +28,9 @@ __all__ = [
 # Relative Hermiticity defect accepted by the eigensolver.
 HERMITICITY_RTOL = 1e-12
 
-# Eigenvalue gap below which neighbouring eigenvalues count as one
-# degenerate cluster.
-DEGENERACY_GAP = 1e-9
+# Eigenvalue gap, relative to ||M||_F, below which neighbouring eigenvalues
+# count as one degenerate cluster.
+DEGENERACY_GAP = 1e-12
 
 # Norm below which a vector counts as zero and cannot be normalized.
 KET_NORM_FLOOR = 1e-12
@@ -165,13 +165,13 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
 
     One `np.linalg.eigh` call on the Hermitized matrix gives ascending
     eigenvalues and orthonormal eigenvector columns. Degenerate clusters
-    (gap < 1e-9) share their mean eigenvalue. Given `target`, one QR turns
-    the cluster holding most of it into the target's normalized projection,
-    at the 1-based `target_index` if that slot lies in the cluster, and a
-    completion from LAPACK's vectors of the cluster. Every column, the
-    target's included, then has its leading component (the first within a
-    relative 1e-9 of its largest modulus) made real positive. Output is
-    deterministic for identical input.
+    (gap < 1e-12 ||M||_F; M = 0 is one cluster) share their mean eigenvalue.
+    Given `target`, one QR turns the cluster holding most of it into the
+    target's normalized projection, at the 1-based `target_index` if that
+    slot lies in the cluster, and a completion from LAPACK's vectors of the
+    cluster. Every column, the target's included, then has its leading
+    component (the first within a relative 1e-9 of its largest modulus) made
+    real positive. Output is deterministic for identical input.
 
     Raises ValueError for non-Hermitian input (with the asymmetry norm) and
     ConvergenceError if LAPACK fails or the result misses the residual and
@@ -192,8 +192,9 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
 
     # A degenerate cluster is one level. Its roundoff-split eigenvalues get
     # their mean, so ties downstream (equal Gibbs weights, say) do not hang
-    # on the solver's roundoff.
-    clusters = _degenerate_clusters(vals, DEGENERACY_GAP)
+    # on the solver's roundoff. The gap scales with ||M||_F so that the unit
+    # of energy does not change the clusters; M = 0 is one cluster.
+    clusters = _degenerate_clusters(vals, DEGENERACY_GAP * scale if scale else np.inf)
     for lo, hi in clusters:
         vals[lo:hi] = vals[lo:hi].mean()
 
@@ -205,12 +206,11 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
     _fix_phases(vecs)
 
     system = EigenSystem(eigenvalues=vals, vectors=vecs)
-    _check_eigensystem(a, system)
+    _check_eigensystem(a, system, max(1.0, scale))
     return system
 
 
-def _check_eigensystem(m: np.ndarray, system: EigenSystem) -> None:
-    scale = max(1.0, frobenius_norm(m))
+def _check_eigensystem(m: np.ndarray, system: EigenSystem, scale: float) -> None:
     unitarity = system.vectors.conj().T @ system.vectors - np.eye(system.dim)
     if frobenius_norm(unitarity) > 1e-10 * scale:
         raise ConvergenceError("eigenvector matrix lost orthonormality")

@@ -87,7 +87,7 @@ def build_model(params: RydbergParams | None = None) -> ModelSpec:
     """Assemble the model: each decay channel carries rate gamma/2 so the
     dissipator totals gamma/2 * sum_mu D[L_mu]."""
     p = params if params is not None else RydbergParams()
-    model = ModelSpec(
+    return ModelSpec(
         h_s=build_hamiltonian(p),
         jump_ops=build_jump_ops(),
         rates=[p.gamma / 2.0] * 4,
@@ -95,8 +95,6 @@ def build_model(params: RydbergParams | None = None) -> ModelSpec:
         target_index=TARGET_INDEX,
         gamma_ref=p.gamma,
     )
-    model.check_target_alignment()
-    return model
 
 
 def thermal_populations(beta: float, energies) -> np.ndarray:

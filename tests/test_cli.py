@@ -233,6 +233,23 @@ class TestMalformedConfigs:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_missing_directory_out_is_refused_before_enumerating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated arrangements for an unwritable output")
+
+        out = tmp_path / "missing" / "x.csv"
+        config = write_config(tmp_path, permutation="all")
+        monkeypatch.setattr(optimizer, "enumerate_permutations", no_enumeration)
+        code = cli.main(["sweep", "--config", config, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.err == (
+            f"config error: cannot write output: the directory of {out} does not exist\n"
+        )
+        assert captured.out == ""
+
 
 class TestModelInfo:
     def test_rydberg_report(self, tmp_path, capsys):
@@ -247,7 +264,7 @@ class TestModelInfo:
     @pytest.mark.parametrize(
         "fields, code",
         [
-            ({"hamiltonian": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, 5),
+            ({"hamiltonian": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, 0),
             ({"hamiltonian": [[[-1.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, 2),
             ({"target": [[1e300, 0.0], [0.0, 0.0]]}, 0),
         ],
@@ -271,6 +288,56 @@ class TestModelInfo:
         code = cli.main(["model-info", "--config", config])
         assert code == 0
         assert "QSL undefined (A = 0)" in capsys.readouterr().out
+
+    def test_non_finite_speed_coefficient_warns(self, tmp_path, capsys):
+        overflowing = [[[[0.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        config = write_config(tmp_path, **custom(jump_ops=overflowing))
+        code = cli.main(["model-info", "--config", config])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.endswith(
+            "speed coefficient A: nan\nwarning: QSL undefined (A = nan)\n"
+        )
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"omega2": 1e-9, "omega": 0.0},
+            {"omega2": 1e-9, "omega": 0.01},
+            {"omega2": 2e6, "omega": 1e6},
+            {"omega2": 2e9, "omega": 1e9},
+        ],
+        ids=["omega2-1e-9", "omega2-1e-9-omega-0.01", "omega2-2e6", "omega2-2e9"],
+    )
+    def test_rydberg_verdict_does_not_depend_on_the_unit_of_energy(
+        self, tmp_path, capsys, params
+    ):
+        config = write_config(tmp_path, rydberg=params)
+        code = cli.main(["model-info", "--config", config])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "target index: 4\n" in out and "dark-state conditions: pass\n" in out
+
+    def test_stale_slot_is_reported_and_refused(self, tmp_path, capsys, monkeypatch, model):
+        # Slot 5 holds an eigenvector orthogonal to the Bell target.
+        stale = dataclasses.replace(model, target_index=5)
+        monkeypatch.setattr(rydberg, "build_model", lambda params: stale)
+        monkeypatch.setattr(lindblad, "evolve", no_integration)
+        config = write_config(tmp_path, permutation="A", t_end=10.0)
+        code = cli.main(["model-info", "--config", config])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONDITIONS
+        assert "target index: 5\ntarget energy: 2.000000000000e-02\n" in captured.out
+        assert "target alignment defect: 1.000e+00\n" in captured.out
+        assert "dark-state conditions: FAIL\n" in captured.out
+        assert captured.err == ""
+        code = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONDITIONS
+        assert captured.err.startswith("model error: model does not satisfy the dark-state")
+        assert captured.err.endswith(", target alignment defect 1.000e+00\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_custom_model_passes(self, tmp_path, capsys):
         config = write_config(tmp_path, model="custom", custom=TWO_LEVEL_CUSTOM)

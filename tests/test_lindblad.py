@@ -112,11 +112,14 @@ class TestModelSpec:
         assert model.target_energy == [-1.0, 0.5, 2.0][slot - 1]
 
     def test_alignment_check_catches_wrong_target(self, model):
-        e0 = np.zeros(6)
-        e0[0] = 1.0
-        broken = dataclasses.replace(model, target=e0)
-        with pytest.raises(lindblad.ModelError, match="overlap defect"):
-            broken.check_target_alignment()
+        # |01> has no weight in the zero-energy pair at slots 3-4, so the
+        # vector at slot 4 is orthogonal to it.
+        e_01 = np.zeros(6)
+        e_01[1] = 1.0
+        broken = dataclasses.replace(model, target=e_01)
+        report = dsp_core.verify_dsp_conditions(broken)
+        assert not report.passes
+        assert report.alignment_defect == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDefaultStep:

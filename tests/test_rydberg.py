@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dspqsl import dsp_core, qmat, rydberg
 from helpers import analytic_eigenbasis
@@ -93,6 +95,22 @@ class TestModelAssembly:
     def test_zero_gamma_model_builds(self):
         model = rydberg.build_model(rydberg.RydbergParams(gamma=0.0))
         assert dsp_core.coefficient_a(model) == 0.0
+
+    @given(
+        scale=st.floats(-6.0, 9.0),
+        exponents=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        zeroed=st.lists(st.integers(0, 19), min_size=3, max_size=3),
+    )
+    @settings(max_examples=50)
+    def test_every_unit_of_energy_passes_the_verdict(self, scale, exponents, zeroed):
+        # A common scale 10^U(-6, 9), each coupling that scale times
+        # 10^U(-3, 3) and zero with probability 3/20: the Bell target is dark
+        # and the eigenvector at slot 4 whatever the unit of energy.
+        values = [0.0 if z < 3 else 10.0 ** (scale + e) for e, z in zip(exponents, zeroed)]
+        model = rydberg.build_model(rydberg.RydbergParams(*values))
+        report = dsp_core.verify_dsp_conditions(model)
+        assert model.target_index == 4
+        assert report.passes, report
 
 
 class TestAnalyticEigenbasis:
