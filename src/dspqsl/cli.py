@@ -360,10 +360,20 @@ def cmd_simulate(cfg: RunConfig) -> int:
         rho0 = dsp_core.state_from_populations(model.eigensystem, arranged)
         traj = lindblad.evolve(model, rho0, cfg.t_end, step=step, stride=cfg.stride)
         path = out if len(requested) == 1 else out.with_name(f"{out.stem}_{label}{out.suffix}")
-        header = ["t", "t_gamma", "fidelity", "angle", "trace_dev", "min_eig", "max_coherence"]
-        rows = zip(traj.times, traj.times * gamma_ref, traj.fidelities, traj.angles,
-                   traj.trace_devs, traj.min_eigs, traj.coherence_maxes)
-        write_csv(path, header, rows)
+        rows = zip(
+            traj.times,
+            traj.times * gamma_ref,
+            traj.fidelities,
+            traj.angles,
+            traj.trace_devs,
+            traj.min_eigs,
+            traj.coherence_maxes,
+        )
+        write_csv(
+            path,
+            ["t", "t_gamma", "fidelity", "angle", "trace_dev", "min_eig", "max_coherence"],
+            rows,
+        )
         sys.stdout.write(f"{label}: wrote {path} ({len(traj)} records)\n")
     return EXIT_OK
 

@@ -319,6 +319,25 @@ class TestModelInfo:
         assert code == 0
         assert "target index: 4\n" in out and "dark-state conditions: pass\n" in out
 
+    def test_target_mixing_two_distinct_levels_is_refused(self, tmp_path, capsys):
+        # Levels 1e-11 ||H||_F apart are two levels, not one cluster, so the
+        # mixture is no eigenvector even though its eigen residual passes.
+        phi = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        near_pair = {
+            "dim": 3,
+            "hamiltonian": pairs(np.diag([0.0, 1e-11, 1.0])),
+            "jump_ops": [pairs(np.outer(phi, [0.0, 0.0, 1.0]))],
+            "rates": [1.0],
+            "target": pairs(phi),
+        }
+        config = write_config(tmp_path, model="custom", custom=near_pair)
+        code = cli.main(["model-info", "--config", config])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONDITIONS
+        assert "target alignment defect: 5.000e-01\neigen residual: 7.071e-12\n" in captured.out
+        assert "dark-state conditions: FAIL\n" in captured.out
+        assert captured.err == ""
+
     def test_stale_slot_is_reported_and_refused(self, tmp_path, capsys, monkeypatch, model):
         # Slot 5 holds an eigenvector orthogonal to the Bell target.
         stale = dataclasses.replace(model, target_index=5)
