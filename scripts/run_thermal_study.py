@@ -11,51 +11,33 @@ their dissipated heats differ; the script prints both effects.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from dspqsl import dsp_core, lindblad, optimizer, rydberg
-from dspqsl.cli import write_csv
+from dspqsl import optimizer, rydberg
+from dspqsl.cli import RunConfig, write_csv
+
+import run_permutation_study as study  # a sibling: scripts/ is first on sys.path
 
 
-@dataclass
-class StudyConfig:
-    beta: float = 20.0
-    gamma: float = 0.03
-    t_end: float = 5000.0
-    stride: int = 20
-    outdir: Path = Path("results/thermal_study")
+def parser() -> argparse.ArgumentParser:
+    ap = study.parser(__doc__, "thermal_study")
+    ap.add_argument("--beta", type=float, default=RunConfig().beta)
+    return ap
 
 
-def run(cfg: StudyConfig) -> None:
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    model = rydberg.build_model(rydberg.RydbergParams(gamma=cfg.gamma))
-    lam = rydberg.thermal_populations(cfg.beta, model.eigensystem.eigenvalues)
-    print(f"thermal populations (beta = {cfg.beta}): {np.round(lam, 6)}")
-
-    arrangements = {
-        label: optimizer.apply_permutation(lam, optimizer.named_permutation(label, lam, model))
-        for label in "ABC"
-    }
-    states = np.stack(
-        [dsp_core.state_from_populations(model.eigensystem, a) for a in arrangements.values()]
-    )
-    batch = lindblad.evolve_batch(model, states, t_end=cfg.t_end, stride=cfg.stride)
-    for row, label in enumerate(arrangements):
-        write_csv(
-            cfg.outdir / f"curve_{label}.csv",
-            ["t", "t_gamma", "fidelity"],
-            zip(batch.times, batch.times * cfg.gamma, batch.fidelities[row]),
-        )
+def run(args: argparse.Namespace) -> None:
+    model = rydberg.build_model(rydberg.RydbergParams(gamma=args.gamma))
+    lam = rydberg.thermal_populations(args.beta, model.eigensystem.eigenvalues)
+    print(f"thermal populations (beta = {args.beta}): {np.round(lam, 6)}")
+    arrangements, batch = study.abc_pass(args, model, lam)
 
     reports = optimizer.enumerate_permutations(lam, model)
     winner = optimizer.lexicographic_select(reports)
     write_csv(
-        cfg.outdir / "sweep_scores.csv",
+        args.outdir / "sweep_scores.csv",
         ["t_qsl_gamma", "heat"],
-        ((r.t_qsl * cfg.gamma, r.heat) for r in reports),
+        ((r.t_qsl * args.gamma, r.heat) for r in reports),
     )
 
     by_arrangement = {r.arrangement: r for r in reports}
@@ -66,24 +48,5 @@ def run(cfg: StudyConfig) -> None:
     print(f"heats: " + ", ".join(f"Q({k}) = {v:+.6e}" for k, v in heats.items()))
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--beta", type=float, default=20.0)
-    ap.add_argument("--gamma", type=float, default=0.03)
-    ap.add_argument("--t-end", type=float, default=5000.0)
-    ap.add_argument("--stride", type=int, default=20)
-    ap.add_argument("--outdir", type=Path, default=Path("results/thermal_study"))
-    args = ap.parse_args()
-    run(
-        StudyConfig(
-            beta=args.beta,
-            gamma=args.gamma,
-            t_end=args.t_end,
-            stride=args.stride,
-            outdir=args.outdir,
-        )
-    )
-
-
 if __name__ == "__main__":
-    main()
+    run(parser().parse_args())

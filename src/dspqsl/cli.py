@@ -53,7 +53,7 @@ class RunConfig:
     permutation: object = "A"  # label, list of labels, or 1-based index list
     t_end: float = 5000.0
     step: float | None = None
-    stride: int = 20
+    stride: int = lindblad.DEFAULT_STRIDE
     g: float = optimizer.DEFAULT_HEAT_WEIGHT
     out: str | None = None
 

@@ -37,8 +37,8 @@ AT_TARGET_TOL = 1e-12
 # Slack absorbed in inequality checks (fixed-step RK4 has bounded local error).
 QSL_CHECK_SLACK = 1e-9
 
-# Largest residual of a dark-state condition that still passes; the eigen
-# residual's is relative to max(1, ||H||_F).
+# Largest residual of a dark-state condition that still passes, relative to
+# max(1, ||H||_F) for the eigen residual and to max(1, ||L_mu||_F) for a jump's.
 DARK_STATE_TOL = 1e-10
 
 # Largest |1 - |<E_{n*}|target>|^2| a model may have and still prepare its target.
@@ -78,11 +78,12 @@ def verify_dsp_conditions(model) -> DspConditionReport:
     phi = model.target
     eigen_residual = qmat.frobenius_norm(model.h_s @ phi - model.target_energy * phi)
     jump_residuals = tuple(qmat.frobenius_norm(l @ phi) for l in model.jump_ops)
+    jump_scales = [max(1.0, qmat.frobenius_norm(l)) for l in model.jump_ops]
     overlap = model.eigensystem.vector(model.target_index).conj() @ phi
     alignment_defect = float(abs(1.0 - abs(overlap) ** 2))
     passes = (
         eigen_residual < DARK_STATE_TOL * max(1.0, qmat.frobenius_norm(model.h_s))
-        and all(r < DARK_STATE_TOL for r in jump_residuals)
+        and all(r < DARK_STATE_TOL * s for r, s in zip(jump_residuals, jump_scales))
         and alignment_defect <= TARGET_ALIGNMENT_TOL
     )
     return DspConditionReport(eigen_residual, jump_residuals, alignment_defect, passes)

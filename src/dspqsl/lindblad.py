@@ -168,10 +168,12 @@ def rhs_matrix(model: ModelSpec) -> np.ndarray:
 
 def default_step(model: ModelSpec) -> float:
     """Fixed step sized against the fastest coherent or dissipative scale."""
-    rate_scale = sum(
-        g * qmat.frobenius_norm(l.conj().T @ l)
-        for g, l in zip(model.rates, model.jump_ops)
-    )
+    # An overflowing L^dag L gives an inf or NaN rate: a refused or aborted run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate_scale = sum(
+            g * qmat.frobenius_norm(l.conj().T @ l)
+            for g, l in zip(model.rates, model.jump_ops)
+        )
     scale = max(qmat.frobenius_norm(model.h_s), rate_scale)
     if scale <= 0.0:
         return 0.05

@@ -109,8 +109,8 @@ class EigenSystem:
 
 def _degenerate_clusters(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
     """Half-open index ranges of runs of 2+ eigenvalues less than `gap` apart."""
-    # Run starts where the gap is reached, with 0 and len(values) as edges.
-    edges = np.flatnonzero(np.concatenate(([True], np.diff(values) >= gap, [True])))
+    # Runs start where the gap is reached (halves cannot overflow); 0 and len(values) are edges.
+    edges = np.flatnonzero(np.concatenate(([True], np.diff(values / 2.0) >= gap / 2.0, [True])))
     runs = np.diff(edges) > 1
     return list(zip(edges[:-1][runs].tolist(), edges[1:][runs].tolist()))
 
@@ -186,7 +186,8 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
             f"(relative tolerance {HERMITICITY_RTOL})"
         )
     try:
-        vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+        # Halves first: the sum of two finite halves cannot overflow.
+        vals, vecs = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh failed: {exc}") from exc
 
@@ -211,11 +212,12 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
 
 
 def _check_eigensystem(m: np.ndarray, system: EigenSystem, scale: float) -> None:
+    # Negated so that a NaN norm fails.
     unitarity = system.vectors.conj().T @ system.vectors - np.eye(system.dim)
-    if frobenius_norm(unitarity) > 1e-10 * scale:
+    if not frobenius_norm(unitarity) <= 1e-10 * scale:
         raise ConvergenceError("eigenvector matrix lost orthonormality")
     residual = frobenius_norm(m @ system.vectors - system.vectors * system.eigenvalues)
-    if residual > 1e-9 * scale:
+    if not residual <= 1e-9 * scale:
         raise ConvergenceError(f"eigenpair residual {residual:.3e} too large")
 
 
@@ -244,7 +246,7 @@ def validate_density_matrix(rho) -> ValidityReport:
     r = as_complex_matrix(rho)
     defect = hermiticity_defect(r)
     trace_dev = abs(complex(np.trace(r)) - 1.0)
-    min_eig = float(np.linalg.eigvalsh((r + r.conj().T) / 2.0)[0])
+    min_eig = float(np.linalg.eigvalsh(r / 2.0 + r.conj().T / 2.0)[0])
     return ValidityReport(
         hermiticity_defect=float(defect),
         trace_deviation=float(trace_dev),

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dspqsl import cli, lindblad, optimizer, rydberg
+from helpers import dark_state_model, random_unitary
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -42,9 +43,9 @@ def write_config(tmp_path, name="config.json", **overrides):
 
 
 def pairs(m):
-    """A real matrix or vector as the config's [re, im] pairs."""
-    m = np.asarray(m, dtype=float)
-    return np.stack([m, np.zeros_like(m)], axis=-1).tolist()
+    """A matrix or vector as the config's [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def diagonal_custom(energies, target, sources):
@@ -267,8 +268,9 @@ class TestModelInfo:
             ({"hamiltonian": [[[1e300, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, 0),
             ({"hamiltonian": [[[-1.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, 2),
             ({"target": [[1e300, 0.0], [0.0, 0.0]]}, 0),
+            ({"hamiltonian": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e308, 0.0]]]}, 0),
         ],
-        ids=["diagonal", "off-diagonal", "target"],
+        ids=["diagonal", "off-diagonal", "target", "diagonal-1e308"],
     )
     def test_entries_near_1e300_give_no_numpy_warning(self, tmp_path, capsys, fields, code):
         config = write_config(tmp_path, **custom(**fields))
@@ -318,6 +320,22 @@ class TestModelInfo:
         out = capsys.readouterr().out
         assert code == 0
         assert "target index: 4\n" in out and "dark-state conditions: pass\n" in out
+
+    def test_jump_verdict_does_not_depend_on_the_unit_of_the_jump(self, tmp_path, capsys):
+        # A dark model in a random frame, its jump written as 1e6 L at rate 1:
+        # the residual 5.6e-10 is 5.6e-16 of ||1e6 L||_F.
+        base = dark_state_model([-0.4, 0.1, 0.5, 0.9], target_index=2, source_index=4)
+        u = random_unitary(np.random.default_rng(33), 4)
+        framed = {
+            "dim": 4,
+            "hamiltonian": pairs(u @ base.h_s @ u.conj().T),
+            "jump_ops": [pairs(1e6 * u @ base.jump_ops[0] @ u.conj().T)],
+            "rates": [1.0],
+            "target": pairs(u @ base.target),
+        }
+        config = write_config(tmp_path, model="custom", custom=framed)
+        assert cli.main(["model-info", "--config", config]) == 0
+        assert "dark-state conditions: pass\n" in capsys.readouterr().out
 
     def test_target_mixing_two_distinct_levels_is_refused(self, tmp_path, capsys):
         # Levels 1e-11 ||H||_F apart are two levels, not one cluster, so the
@@ -495,6 +513,17 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x.csv")])
         assert code == cli.EXIT_INTEGRATION
         assert "aborted" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_jump_aborts_with_one_line_and_no_warning(self, tmp_path, capsys):
+        # The step rule's L^dag L overflows; the integrator reports the run.
+        overflowing = [[[[0.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+        config = write_config(
+            tmp_path, **custom(jump_ops=overflowing), populations=[0.3, 0.7], t_end=50.0
+        )
+        code = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x.csv")])
+        assert code == cli.EXIT_INTEGRATION
+        assert capsys.readouterr().err == "integration aborted: state became non-finite at t = 1\n"
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,8 @@ from helpers import (
     dissipated_heat,
     qsl_time,
     random_density,
+    random_distinct_simplex,
+    random_unitary,
     to_eigenbasis,
     trace_product,
 )
@@ -51,6 +53,40 @@ class TestVerifyDspConditions:
         zeros = [np.zeros((6, 6), dtype=complex)] * 4
         unitary = dataclasses.replace(model, jump_ops=zeros)
         assert dsp_core.verify_dsp_conditions(unitary).passes
+
+
+class TestUnitCovariance:
+    """H -> s H and L -> sqrt(s) L scale the generator by s: the verdict
+    stays, the bounds scale by 1/s and the heat by s. The heat is a sum of
+    energies that may cancel, so its roundoff is judged on the largest one."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), exponent=st.floats(-3.0, 3.0))
+    @settings(max_examples=30)
+    def test_verdict_bounds_and_heat_follow_the_scale(self, seed, n, exponent):
+        rng = np.random.default_rng(seed)
+        energies = np.cumsum(rng.uniform(0.1, 1.0, n))  # distinct
+        target, source = (int(k) + 1 for k in rng.choice(n, size=2, replace=False))
+        base = dark_state_model(energies, target_index=target, source_index=source)
+        u = random_unitary(rng, n)
+        lam = random_distinct_simplex(rng, n)
+        s = 10.0**exponent
+
+        def framed(scale):
+            return lindblad.ModelSpec(
+                h_s=scale * u @ base.h_s @ u.conj().T,
+                jump_ops=[math.sqrt(scale) * u @ l @ u.conj().T for l in base.jump_ops],
+                rates=base.rates,
+                target=u @ base.target,
+            )
+
+        one, scaled = framed(1.0), framed(s)
+        assert dsp_core.verify_dsp_conditions(scaled).passes
+        assert dsp_core.verify_dsp_conditions(one).passes
+        reports = optimizer.front_candidates(lam, one), optimizer.front_candidates(lam, scaled)
+        for r1, rs in zip(*reports, strict=True):
+            assert rs.permutation == r1.permutation
+            assert abs(rs.t_qsl * s - r1.t_qsl) <= 1e-12 * r1.t_qsl
+            assert abs(rs.heat / s - r1.heat) <= 1e-12 * energies[-1]
 
 
 class TestCoefficientA:

@@ -73,6 +73,14 @@ class TestHermitianEigensystem:
         with pytest.raises(qmat.ConvergenceError, match=message):
             qmat.hermitian_eigensystem(h)
 
+    def test_nan_eigenvalues_are_refused(self, monkeypatch):
+        # A NaN residual compares False with any tolerance; the check must not pass it.
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] * np.nan, eigh(a)[1]))
+        h = random_hermitian(np.random.default_rng(5), 6)
+        with pytest.raises(qmat.ConvergenceError, match="residual nan"):
+            qmat.hermitian_eigensystem(h)
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         dim=st.integers(2, 16),

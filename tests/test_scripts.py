@@ -1,6 +1,8 @@
-"""Both study scripts run end to end on a short horizon, and the scores
-they print agree with the dense-state oracles."""
+"""Both study scripts run end to end on a short horizon, the scores they
+print agree with the dense-state oracles, and their defaults are the
+package's."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from dspqsl import dsp_core, optimizer, rydberg
+from dspqsl.cli import RunConfig
 from helpers import dissipated_heat, enumerate_permutations_reference, pareto_mask_reference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,3 +69,18 @@ def test_pareto_front_size_matches_the_oracle(run_script, model, demo_pops):
     _, stdout = run_script("run_permutation_study.py")
     front = pareto_mask_reference(enumerate_permutations_reference(demo_pops, model))
     assert f"pareto front size: {int(front.sum())} of 720" in stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "script, own", [("run_permutation_study", ()), ("run_thermal_study", ("beta",))]
+)
+def test_defaults_are_the_packages(monkeypatch, script, own):
+    # In process: the thermal study imports its sibling from scripts/.
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    args = importlib.import_module(script).parser().parse_args([])
+    defaults = RunConfig()
+    assert set(vars(args)) == {"gamma", "t_end", "stride", "outdir", *own}
+    assert args.gamma == defaults.rydberg_params.gamma
+    assert (args.t_end, args.stride) == (defaults.t_end, defaults.stride)
+    for key in own:
+        assert getattr(args, key) == getattr(defaults, key)
