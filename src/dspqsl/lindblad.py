@@ -168,16 +168,17 @@ def rhs_matrix(model: ModelSpec) -> np.ndarray:
 
 def default_step(model: ModelSpec) -> float:
     """Fixed step sized against the fastest coherent or dissipative scale."""
-    # An overflowing L^dag L gives an inf or NaN rate: a refused or aborted run.
+    # An overflowing L^dag L gives an inf or NaN rate, so a step of 0 or NaN
+    # that check_grid refuses: max and min keep a leading NaN argument.
     with np.errstate(over="ignore", invalid="ignore"):
         rate_scale = sum(
             g * qmat.frobenius_norm(l.conj().T @ l)
             for g, l in zip(model.rates, model.jump_ops)
         )
-    scale = max(qmat.frobenius_norm(model.h_s), rate_scale)
+    scale = max(rate_scale, qmat.frobenius_norm(model.h_s))
     if scale <= 0.0:
         return 0.05
-    return min(0.05, 0.1 / scale)
+    return min(0.1 / scale, 0.05)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 Everything operates on plain numpy arrays: kets are 1-d complex arrays,
 operators are square 2-d complex arrays. Spectra come from LAPACK; this
 module adds the ascending eigenbasis with the target aligned in its
-degenerate cluster, a fixed phase convention and a residual check.
+degenerate cluster and a residual check.
 Intended for small dense matrices (dim <= ~16, nothing beyond ~64).
 """
 
@@ -34,10 +34,6 @@ DEGENERACY_GAP = 1e-12
 
 # Norm below which a vector counts as zero and cannot be normalized.
 KET_NORM_FLOOR = 1e-12
-
-# Relative magnitude within which two components of an eigenvector count
-# as tied for the phase convention.
-PHASE_TIE_RTOL = 1e-9
 
 # Largest Hermiticity defect, trace deviation and -eigenvalue of a valid state.
 DENSITY_TOL = 1e-10
@@ -147,19 +143,6 @@ def _align_cluster_to_target(
     vecs[:, lo:hi] = vecs[:, lo:hi] @ np.linalg.qr(c[:, None], mode="complete")[0][:, order]
 
 
-def _fix_phases(vecs: np.ndarray) -> None:
-    """Make the leading component of each column real positive.
-
-    The leading component is the first whose magnitude lies within
-    PHASE_TIE_RTOL of the column maximum, so components of equal magnitude
-    are decided by their index rather than by roundoff.
-    """
-    mags = np.abs(vecs)
-    rows = np.argmax(mags >= (1.0 - PHASE_TIE_RTOL) * mags.max(axis=0), axis=0)
-    lead = vecs[rows, np.arange(vecs.shape[1])]
-    vecs *= np.conj(lead) / np.abs(lead)
-
-
 def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> EigenSystem:
     """Ordered eigendecomposition of a Hermitian matrix: LAPACK plus target alignment.
 
@@ -169,9 +152,8 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
     Given `target`, one QR turns the cluster holding most of it into the
     target's normalized projection, at the 1-based `target_index` if that
     slot lies in the cluster, and a completion from LAPACK's vectors of the
-    cluster. Every column, the target's included, then has its leading
-    component (the first within a relative 1e-9 of its largest modulus) made
-    real positive. Output is deterministic for identical input.
+    cluster. Columns keep the phases that LAPACK and the QR give them.
+    Output is deterministic for identical input.
 
     Raises ValueError for non-Hermitian input (with the asymmetry norm) and
     ConvergenceError if LAPACK fails or the result misses the residual and
@@ -191,20 +173,19 @@ def hermitian_eigensystem(m, target=None, target_index: int | None = None) -> Ei
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh failed: {exc}") from exc
 
-    # A degenerate cluster is one level. Its roundoff-split eigenvalues get
-    # their mean, so ties downstream (equal Gibbs weights, say) do not hang
-    # on the solver's roundoff. The gap scales with ||M||_F so that the unit
-    # of energy does not change the clusters; M = 0 is one cluster.
+    # A degenerate cluster is one level: its roundoff-split eigenvalues get
+    # their mean (of halves, which cannot overflow), so that ties downstream
+    # (equal Gibbs weights) do not hang on roundoff. The gap scales with
+    # ||M||_F, so the unit of energy does not change clusters; M = 0 is one.
     clusters = _degenerate_clusters(vals, DEGENERACY_GAP * scale if scale else np.inf)
     for lo, hi in clusters:
-        vals[lo:hi] = vals[lo:hi].mean()
+        vals[lo:hi] = 2.0 * (vals[lo:hi] / 2.0).mean()
 
     if target is not None:
         phi = as_ket(target)
         if phi.shape[0] != a.shape[0]:
             raise ValueError("target dimension does not match the matrix")
         _align_cluster_to_target(clusters, vecs, phi, target_index)
-    _fix_phases(vecs)
 
     system = EigenSystem(eigenvalues=vals, vectors=vecs)
     _check_eigensystem(a, system, max(1.0, scale))

@@ -111,8 +111,8 @@ def jacobi_eigh(h, max_sweeps: int = 100, off_tol: float = 1e-13):
 def jacobi_eigensystem(m, target=None, target_index=None, **budget) -> qmat.EigenSystem:
     """`qmat.hermitian_eigensystem` with the Jacobi oracle in place of LAPACK.
 
-    The alignment, phase convention and residual check are the production
-    ones, so a difference from the production result is the solver's.
+    The alignment and residual check are the production ones, so a
+    difference from the production result is the solver's.
     """
     with mock.patch.object(np.linalg, "eigh", lambda a: jacobi_eigh(a, **budget)):
         return qmat.hermitian_eigensystem(m, target=target, target_index=target_index)

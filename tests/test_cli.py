@@ -269,8 +269,9 @@ class TestModelInfo:
             ({"hamiltonian": [[[-1.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, 2),
             ({"target": [[1e300, 0.0], [0.0, 0.0]]}, 0),
             ({"hamiltonian": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e308, 0.0]]]}, 0),
+            ({"hamiltonian": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]}, 0),
         ],
-        ids=["diagonal", "off-diagonal", "target", "diagonal-1e308"],
+        ids=["diagonal", "off-diagonal", "target", "diagonal-1e308", "degenerate-1e308"],
     )
     def test_entries_near_1e300_give_no_numpy_warning(self, tmp_path, capsys, fields, code):
         config = write_config(tmp_path, **custom(**fields))
@@ -515,15 +516,30 @@ class TestSimulate:
         assert "aborted" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_jump_aborts_with_one_line_and_no_warning(self, tmp_path, capsys):
-        # The step rule's L^dag L overflows; the integrator reports the run.
-        overflowing = [[[[0.0, 0.0], [1e300, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (1e150, "t_end=50.0, step=2.0000000000000005e-301 and stride=20 give more than "
+             "200000 records"),
+            (1e160, "step must be positive and finite, got nan"),
+            (1e300, "step must be positive and finite, got nan"),
+        ],
+        ids=["1e150", "1e160", "1e300"],
+    )
+    def test_overflowing_jump_aborts_with_one_line_and_no_warning(
+        self, tmp_path, capsys, entry, message
+    ):
+        # The step rule's rate scale is huge (1e150) or its L^dag L overflows
+        # to NaN; either way the grid is refused before anything is integrated.
+        overflowing = [[[[0.0, 0.0], [entry, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
         config = write_config(
             tmp_path, **custom(jump_ops=overflowing), populations=[0.3, 0.7], t_end=50.0
         )
-        code = cli.main(["simulate", "--config", config, "--out", str(tmp_path / "x.csv")])
-        assert code == cli.EXIT_INTEGRATION
-        assert capsys.readouterr().err == "integration aborted: state became non-finite at t = 1\n"
+        out = tmp_path / "x.csv"
+        code = cli.main(["simulate", "--config", config, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

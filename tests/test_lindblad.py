@@ -1,6 +1,7 @@
 """Tests for the master-equation generator and the RK4 integrator."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,9 @@ from helpers import (
     dark_state_model,
     evolve_batch_direct,
     random_density,
+    random_distinct_simplex,
     random_hermitian,
+    random_unitary,
     rk4_reference,
 )
 
@@ -254,6 +257,46 @@ class TestRecordStepperAgainstOracle:
         check = str(expected.value).split(" beyond")[0].split(" at t")[0]
         assert str(got.value).startswith(check)
         assert got.value.index is None
+
+
+class TestFrameCovariance:
+    """A state given by its populations over the ordered eigenbasis evolves
+    the same in every frame: under a diagonal phase similarity D H D^dag, a
+    relabelling of the basis, and H -> s H, L -> sqrt(s) L with times / s.
+    Eigenvector phases differ between frames, so this pins that no record
+    depends on them."""
+
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-3.0, 3.0))
+    @settings(max_examples=30)
+    def test_fidelity_records_agree(self, seed, exponent):
+        rng = np.random.default_rng(seed)
+        n = 4
+        energies = np.cumsum(rng.uniform(0.1, 1.0, n))  # distinct
+        target, source = (int(k) + 1 for k in rng.choice(n, size=2, replace=False))
+        base = dark_state_model(energies, target_index=target, source_index=source)
+        lam = random_distinct_simplex(rng, n)
+        s = 10.0**exponent
+
+        def framed(u, scale=1.0):
+            return lindblad.ModelSpec(
+                h_s=scale * u @ base.h_s @ u.conj().T,
+                jump_ops=[math.sqrt(scale) * u @ l @ u.conj().T for l in base.jump_ops],
+                rates=base.rates,
+                target=u @ base.target,
+            )
+
+        def run(model, scale=1.0):
+            rho0 = dsp_core.state_from_populations(model.eigensystem, lam)
+            return lindblad.evolve(model, rho0, 20.0 / scale, step=0.05 / scale)
+
+        u = random_unitary(rng, n)
+        phases = np.diag(np.exp(2j * np.pi * rng.uniform(size=n)))
+        relabel = np.eye(n)[rng.permutation(n)]
+        ref = run(framed(u))
+        for other, scale in ((phases @ u, 1.0), (relabel @ u, 1.0), (u, s)):
+            traj = run(framed(other, scale), scale)
+            assert np.max(np.abs(traj.fidelities - ref.fidelities)) <= 1e-12
+            assert np.max(np.abs(traj.times * scale - ref.times)) <= 1e-12 * ref.times[-1]
 
 
 def no_generator(model):
